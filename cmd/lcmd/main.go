@@ -18,21 +18,23 @@
 //	GET  /jobs/{id}        point-in-time job progress snapshot
 //	GET  /jobs/{id}/stream resume a job's stream: replay completed items,
 //	                      follow the rest
-//	GET  /healthz         pool and outcome counters; 503 while draining
+//	GET  /healthz         pool and outcome counters; 503 while draining.
+//	                      solver_parallel_slices and solver_sparse_skips
+//	                      are retired and always read 0
 //	GET  /readyz          cheap readiness probe for gateways: 503 while
 //	                      draining or shedding all work (degrade level 3)
 //
 // Flags:
 //
 //	-addr A          listen address (default :8657)
-//	-workers N       optimization worker pool size (default GOMAXPROCS)
+//	-workers N       optimization worker pool size, and how many
+//	                 functions of one batch or stream are dispatched at
+//	                 once (default GOMAXPROCS)
 //	-queue N         admission queue capacity; a full queue sheds load
 //	                 with 429 + Retry-After (default 4×workers)
 //	-timeout D       default per-request budget (default 5s)
 //	-max-timeout D   cap on client-requested budgets (default 4×timeout)
 //	-fuel N          default node-visit budget per fixpoint (0 = unlimited)
-//	-batch-parallel N  concurrent dispatch lanes per /optimize/batch
-//	                 request (default workers; 1 = serial batches)
 //	-cache N         result-cache capacity in entries: identical
 //	                 (program, directives) requests replay their clean
 //	                 outcome (default 128; negative disables)
@@ -125,7 +127,6 @@ func main() {
 	timeout := fs.Duration("timeout", lcmserver.DefaultTimeout, "default per-request budget")
 	maxTimeout := fs.Duration("max-timeout", 0, "cap on client-requested budgets (0 = 4×timeout)")
 	fuel := fs.Int("fuel", 0, "default node-visit budget per fixpoint (0 = unlimited)")
-	batchParallel := fs.Int("batch-parallel", 0, "concurrent dispatch lanes per batch request (0 = workers)")
 	cacheSize := fs.Int("cache", 0, "result-cache capacity in entries (0 = default, negative disables)")
 	cacheDir := fs.String("cache-dir", "", "durable cache directory (\"\" disables)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "byte budget for -cache-dir (0 = 64MiB)")
@@ -176,7 +177,6 @@ func main() {
 		Fuel:            *fuel,
 		Verify:          *verify,
 		Quarantine:      *quarantine,
-		BatchParallel:   *batchParallel,
 		CacheSize:       *cacheSize,
 		CacheDir:        *cacheDir,
 		CacheBytes:      *cacheBytes,

@@ -113,6 +113,11 @@ type backend struct {
 	ready     atomic.Bool
 	degrade   atomic.Int32 // degrade_level from the last readiness probe
 
+	// probeDecodeErrors counts probes whose /readyz body did not decode
+	// (garbled, or cut by the read limit); the gauges below then keep
+	// their last good values.
+	probeDecodeErrors atomic.Int64
+
 	// Job and cache gauges harvested from the backend's last readiness
 	// probe — the fleet view of its resumable-job and per-function-cache
 	// health, surfaced verbatim on the gateway's /healthz.
@@ -122,11 +127,6 @@ type backend struct {
 	streamClients atomic.Int64
 	fnCacheHits   atomic.Int64
 	fnCacheMisses atomic.Int64
-	// Solver-core telemetry: how often the backend's data-flow solver
-	// engaged its parallel word-sliced and sparse-worklist fast paths.
-	// The chaos soak asserts these advance fleet-wide under load.
-	solverSlices      atomic.Int64
-	solverSparseSkips atomic.Int64
 
 	// Hostile-storage state harvested from the probe: whether the
 	// backend has quarantined its disk tier (and is refusing new
@@ -890,26 +890,34 @@ func (g *Gateway) probe(b *backend) {
 	}
 	defer resp.Body.Close()
 	var status struct {
-		Ready                bool  `json:"ready"`
-		DegradeLevel         int   `json:"degrade_level"`
-		JobsActive           int64 `json:"jobs_active"`
-		JobsResumed          int64 `json:"jobs_resumed"`
-		JobsExpired          int64 `json:"jobs_expired"`
-		StreamClients        int64 `json:"stream_clients"`
-		FnCacheHits          int64 `json:"fn_cache_hits"`
-		FnCacheMisses        int64 `json:"fn_cache_misses"`
-		SolverParallelSlices int64 `json:"solver_parallel_slices"`
-		SolverSparseSkips    int64 `json:"solver_sparse_skips"`
-		DiskDisabled         bool  `json:"disk_disabled"`
-		DiskTransitions      int64 `json:"disk_disable_transitions"`
-		JournalDegraded      bool  `json:"journal_degraded"`
-		DiskFaultsWrite      int64 `json:"disk_faults_write"`
-		DiskFaultsRead       int64 `json:"disk_faults_read"`
-		DiskFaultsSync       int64 `json:"disk_faults_sync"`
-		DiskFaultsRename     int64 `json:"disk_faults_rename"`
+		Ready            bool  `json:"ready"`
+		DegradeLevel     int   `json:"degrade_level"`
+		JobsActive       int64 `json:"jobs_active"`
+		JobsResumed      int64 `json:"jobs_resumed"`
+		JobsExpired      int64 `json:"jobs_expired"`
+		StreamClients    int64 `json:"stream_clients"`
+		FnCacheHits      int64 `json:"fn_cache_hits"`
+		FnCacheMisses    int64 `json:"fn_cache_misses"`
+		DiskDisabled     bool  `json:"disk_disabled"`
+		DiskTransitions  int64 `json:"disk_disable_transitions"`
+		JournalDegraded  bool  `json:"journal_degraded"`
+		DiskFaultsWrite  int64 `json:"disk_faults_write"`
+		DiskFaultsRead   int64 `json:"disk_faults_read"`
+		DiskFaultsSync   int64 `json:"disk_faults_sync"`
+		DiskFaultsRename int64 `json:"disk_faults_rename"`
 	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&status)
+	derr := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&status)
 	b.ready.Store(resp.StatusCode == http.StatusOK)
+	b.breaker.Record(true)
+	if derr != nil {
+		// The backend answered, so readiness and the breaker follow the
+		// status code; a body that does not decode says nothing about
+		// the gauges, so they keep their last good values instead of
+		// zeroing this backend's share of the fleet view.
+		b.probeDecodeErrors.Add(1)
+		g.logf("probe backend=%s status=%d decode_err=%q", b.id, resp.StatusCode, derr)
+		return
+	}
 	b.degrade.Store(int32(status.DegradeLevel))
 	b.jobsActive.Store(status.JobsActive)
 	b.jobsResumed.Store(status.JobsResumed)
@@ -917,8 +925,6 @@ func (g *Gateway) probe(b *backend) {
 	b.streamClients.Store(status.StreamClients)
 	b.fnCacheHits.Store(status.FnCacheHits)
 	b.fnCacheMisses.Store(status.FnCacheMisses)
-	b.solverSlices.Store(status.SolverParallelSlices)
-	b.solverSparseSkips.Store(status.SolverSparseSkips)
 	b.diskDisabled.Store(status.DiskDisabled)
 	b.journalDegraded.Store(status.JournalDegraded)
 	b.diskTransitions.Store(status.DiskTransitions)
@@ -926,7 +932,6 @@ func (g *Gateway) probe(b *backend) {
 	b.diskFaultsRead.Store(status.DiskFaultsRead)
 	b.diskFaultsSync.Store(status.DiskFaultsSync)
 	b.diskFaultsRename.Store(status.DiskFaultsRename)
-	b.breaker.Record(true)
 	g.logf("probe backend=%s status=%d ready=%v degrade=%d", b.id, resp.StatusCode, resp.StatusCode == http.StatusOK, status.DegradeLevel)
 }
 
@@ -951,14 +956,13 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"succeeded":                b.succeeded.Load(),
 			"failed":                   b.failed.Load(),
 			"probes":                   b.probes.Load(),
+			"probe_decode_errors":      b.probeDecodeErrors.Load(),
 			"jobs_active":              b.jobsActive.Load(),
 			"jobs_resumed":             b.jobsResumed.Load(),
 			"jobs_expired":             b.jobsExpired.Load(),
 			"stream_clients":           b.streamClients.Load(),
 			"fn_cache_hits":            b.fnCacheHits.Load(),
 			"fn_cache_misses":          b.fnCacheMisses.Load(),
-			"solver_parallel_slices":   b.solverSlices.Load(),
-			"solver_sparse_skips":      b.solverSparseSkips.Load(),
 			"disk_disabled":            b.diskDisabled.Load(),
 			"journal_degraded":         b.journalDegraded.Load(),
 			"disk_disable_transitions": b.diskTransitions.Load(),
@@ -984,8 +988,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		fleetJobs["stream_clients"] += b.streamClients.Load()
 		fleetJobs["fn_cache_hits"] += b.fnCacheHits.Load()
 		fleetJobs["fn_cache_misses"] += b.fnCacheMisses.Load()
-		fleetJobs["solver_parallel_slices"] += b.solverSlices.Load()
-		fleetJobs["solver_sparse_skips"] += b.solverSparseSkips.Load()
+		fleetJobs["probe_decode_errors"] += b.probeDecodeErrors.Load()
 	}
 	draining := make([]string, 0, len(g.draining))
 	for id := range g.draining {

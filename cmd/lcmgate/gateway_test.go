@@ -511,6 +511,82 @@ func TestGatewayHealthPolling(t *testing.T) {
 	}
 }
 
+// TestGatewayProbeDecodeErrors: a /readyz body that does not decode —
+// garbled, or valid JSON cut by the probe's read limit — is counted per
+// backend and fleet-wide, leaves the last good gauges in place instead
+// of zeroing the fleet view, and still sets readiness from the status
+// code.
+func TestGatewayProbeDecodeErrors(t *testing.T) {
+	var mode atomic.Value
+	mode.Store("good")
+	gw, nodes, gts := newScriptedFleet(t, 1, Config{}, func(_ int, w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			writeGateJSON(w, http.StatusOK, map[string]any{})
+			return
+		}
+		switch mode.Load() {
+		case "good":
+			writeGateJSON(w, http.StatusOK, map[string]any{
+				"ready": true, "degrade_level": 1, "jobs_active": 3, "fn_cache_hits": 7,
+			})
+		case "garbled":
+			w.WriteHeader(http.StatusOK)
+			io.WriteString(w, `{"ready": true, "jobs_active": 0, "fn_cache_hits": `)
+		case "oversized":
+			w.WriteHeader(http.StatusOK)
+			fmt.Fprintf(w, `{"ready": true, "jobs_active": 0, "pad": %q}`, strings.Repeat("x", 8192))
+		case "garbled503":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, "not json")
+		}
+	})
+	b := gw.backends[nodes[0].ts.URL]
+	gauges := func() (int32, int64, int64) {
+		return b.degrade.Load(), b.jobsActive.Load(), b.fnCacheHits.Load()
+	}
+
+	gw.probe(b)
+	if d, j, h := gauges(); d != 1 || j != 3 || h != 7 {
+		t.Fatalf("good probe stored degrade/jobs/hits = %d/%d/%d, want 1/3/7", d, j, h)
+	}
+	for i, m := range []string{"garbled", "oversized", "garbled503"} {
+		mode.Store(m)
+		gw.probe(b)
+		if got := b.probeDecodeErrors.Load(); got != int64(i+1) {
+			t.Errorf("%s: probe_decode_errors = %d, want %d", m, got, i+1)
+		}
+		if d, j, h := gauges(); d != 1 || j != 3 || h != 7 {
+			t.Errorf("%s: gauges degrade/jobs/hits = %d/%d/%d, want the last good 1/3/7", m, d, j, h)
+		}
+		if want := m != "garbled503"; b.ready.Load() != want {
+			t.Errorf("%s: ready = %v, want %v from the status code", m, b.ready.Load(), want)
+		}
+	}
+
+	resp, err := http.Get(gts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Backends map[string]map[string]any `json:"backends"`
+		Fleet    map[string]float64        `json:"fleet"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Backends[nodes[0].ts.URL]["probe_decode_errors"]; got != 3.0 {
+		t.Errorf("backend probe_decode_errors = %v, want 3", got)
+	}
+	if got := h.Fleet["probe_decode_errors"]; got != 3 {
+		t.Errorf("fleet probe_decode_errors = %v, want 3", got)
+	}
+	if got := h.Fleet["jobs_active"]; got != 3 {
+		t.Errorf("fleet jobs_active = %v, want the last good 3", got)
+	}
+}
+
 // TestGatewayReadyz: ready while any breaker admits; 503 once every
 // backend's breaker is open.
 func TestGatewayReadyz(t *testing.T) {

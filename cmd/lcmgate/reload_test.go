@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,12 +97,7 @@ func TestReloadMinimalMovement(t *testing.T) {
 // draining until its last request finishes. Nothing hangs.
 func TestReloadDrainsInflight(t *testing.T) {
 	release := make(chan struct{})
-	// Any failure before the explicit release must still unblock the
-	// scripted backend, or cleanup hangs in httptest.Server.Close behind
-	// the parked handler until the whole package's test timeout panics —
-	// turning a fast failure into ten lost minutes and no other results.
 	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
 	var entered atomic.Int64
 	gw, nodes, gts := newScriptedFleet(t, 3, Config{Timeout: 20 * time.Second, AttemptTimeout: 20 * time.Second},
 		func(i int, w http.ResponseWriter, r *http.Request) {
@@ -114,6 +110,13 @@ func TestReloadDrainsInflight(t *testing.T) {
 			}
 			writeGateJSON(w, http.StatusOK, map[string]any{"served_by": i})
 		})
+	// Any failure before the explicit release must still unblock the
+	// scripted backend, or cleanup hangs in httptest.Server.Close behind
+	// the parked handler until the whole package's test timeout panics —
+	// turning a fast failure into ten lost minutes and no other results.
+	// Cleanups run last-in first-out, so this one must be registered
+	// after the fleet's server closes.
+	t.Cleanup(releaseOnce)
 	urls := make([]string, len(nodes))
 	for i, n := range nodes {
 		urls[i] = n.ts.URL
@@ -149,10 +152,11 @@ func TestReloadDrainsInflight(t *testing.T) {
 		t.Error("busy backend not reported as draining")
 	}
 
-	// New traffic for the same content must not wait on the drain: the
-	// ring now owns the key elsewhere. (A different body dodges the
-	// single-flight join with the blocked request.)
-	probe := bodyOwnedBy(t, gw, urls[1:], "/optimize", 0) // owner among survivors
+	// New traffic must not wait on the drain: every key is now owned by
+	// a survivor. The body must differ from the blocked one, or the
+	// single-flight dedupe joins it to the stranded request; slow's
+	// programs are named p<n>, so a q-named one never collides.
+	probe := optBody(t, strings.ReplaceAll(diamond, "func f", "func q0"))
 	code, _, raw := postRaw(t, gts.URL, "/optimize", probe)
 	if code != http.StatusOK {
 		t.Fatalf("request during drain = %d: %s", code, raw)

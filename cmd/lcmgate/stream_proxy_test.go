@@ -194,7 +194,7 @@ func TestGatewayStreamProxyEndToEnd(t *testing.T) {
 			t.Fatalf("backend %s missing from healthz", n.ts.URL)
 		}
 		for _, k := range []string{"jobs_active", "jobs_resumed", "jobs_expired", "stream_clients",
-			"fn_cache_hits", "fn_cache_misses", "solver_parallel_slices", "solver_sparse_skips"} {
+			"fn_cache_hits", "fn_cache_misses"} {
 			if _, ok := b[k]; !ok {
 				t.Errorf("backend %s healthz entry missing %q", n.ts.URL, k)
 			}

@@ -7,38 +7,30 @@ import (
 	"time"
 )
 
-// TestSolveCanceledContext: both solvers abandon a solve promptly when the
+// TestSolveCanceledContext: the solver abandons a solve promptly when the
 // context is already done, and the error is structured — it unwraps to
 // ErrCanceled and to the concrete context error.
 func TestSolveCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, solve := range []struct {
-		name string
-		run  func(g Graph, p *Problem) (*Result, error)
-	}{
-		{"Solve", Solve},
-		{"SolveWorklist", SolveWorklist},
-	} {
-		p := availProblem(Must)
-		p.Ctx = ctx
-		res, err := solve.run(diamondG(), p)
-		if err == nil {
-			t.Fatalf("%s: succeeded under a canceled context", solve.name)
-		}
-		if res != nil {
-			t.Errorf("%s: non-nil result alongside error", solve.name)
-		}
-		if !errors.Is(err, ErrCanceled) {
-			t.Errorf("%s: error does not unwrap to ErrCanceled: %v", solve.name, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: error does not unwrap to context.Canceled: %v", solve.name, err)
-		}
-		var ce *CancelError
-		if !errors.As(err, &ce) || ce.Problem != "avail" {
-			t.Errorf("%s: error is not a *CancelError naming the problem: %v", solve.name, err)
-		}
+	p := availProblem(Must)
+	p.Ctx = ctx
+	res, err := Solve(diamondG(), p)
+	if err == nil {
+		t.Fatal("succeeded under a canceled context")
+	}
+	if res != nil {
+		t.Error("non-nil result alongside error")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Errorf("error does not unwrap to ErrCanceled: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error does not unwrap to context.Canceled: %v", err)
+	}
+	var ce *CancelError
+	if !errors.As(err, &ce) || ce.Problem != "avail" {
+		t.Errorf("error is not a *CancelError naming the problem: %v", err)
 	}
 }
 

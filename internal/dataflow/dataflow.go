@@ -8,14 +8,13 @@
 // the paper eliminates (experiment T4 measures the difference using the
 // Stats this package reports).
 //
-// Three solver strategies compute the same unique fixpoint (DESIGN.md §11
-// gives the argument): Serial round-robin sweeps (the reference), Sliced
-// word-parallel sweeps (the expression universe partitioned by 64-bit
-// word, one goroutine per disjoint word-column slice of the shared state),
-// and Sparse masked worklists (only unstable words re-propagate, through
-// an intrusive zero-allocation queue). The default Auto strategy picks by
-// problem shape; the randomized equivalence suite asserts bit-identical
-// results across all three.
+// One solver reaches every fixpoint: the flat round-robin sweep of Solve,
+// the standard iterative algorithm the paper's unidirectional systems
+// were designed for, which converges within loop-connectedness + 2
+// passes on reducible graphs (Kam–Ullman). The fixpoint of a monotone
+// gen/kill system is unique, so another iteration strategy could only be
+// faster, never different — and on this service's workloads none was
+// (DESIGN.md §11).
 package dataflow
 
 import (
@@ -145,78 +144,6 @@ const (
 	BoundaryFull
 )
 
-// Strategy selects how Solve reaches the fixpoint. Every strategy computes
-// the identical solution; the choice is purely a performance trade-off.
-type Strategy int
-
-const (
-	// Auto picks a strategy from the problem shape: Sliced for wide
-	// universes on non-trivial graphs, Sparse for large narrow graphs,
-	// Serial otherwise.
-	Auto Strategy = iota
-	// Serial is the reference round-robin sweep in (reverse) postorder.
-	Serial
-	// Sliced partitions the expression universe by 64-bit word and solves
-	// the disjoint word-column slices concurrently.
-	Sliced
-	// Sparse uses the masked worklist of SolveWorklist: only words that
-	// actually changed re-propagate to dependents.
-	Sparse
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Serial:
-		return "serial"
-	case Sliced:
-		return "sliced"
-	case Sparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// Auto-dispatch thresholds. Word-slicing pays only when each slice carries
-// enough words across enough nodes to amortize goroutine startup; the
-// sparse worklist pays only when the graph is large enough that full
-// re-sweeps dominate its queue overhead.
-const (
-	slicedMinWords = 4   // ≥ 256 expressions before slicing engages
-	slicedMinNodes = 128 // and a graph big enough to sweep repeatedly
-	sparseMinNodes = 512 // narrow but deep graphs go sparse
-)
-
-// pick resolves Auto against the problem shape.
-func (p *Problem) pick(g Graph) Strategy {
-	if p.Strategy != Auto {
-		return p.Strategy
-	}
-	if numWordsFor(p.Width) >= slicedMinWords && g.NumNodes() >= slicedMinNodes {
-		return Sliced
-	}
-	if g.NumNodes() >= sparseMinNodes {
-		return Sparse
-	}
-	return Serial
-}
-
-// numWordsFor returns the number of 64-bit words backing a vector of the
-// given bit width.
-func numWordsFor(width int) int { return (width + 63) >> 6 }
-
-// normVectorOps converts a word-op count into whole-vector-op units so
-// Stats.VectorOps stays the comparable currency of experiment T4 across
-// strategies that touch partial vectors.
-func normVectorOps(wordOps, numWords int) int {
-	if numWords == 0 {
-		return 0
-	}
-	return (wordOps + numWords - 1) / numWords
-}
-
 // Problem is a gen/kill bit-vector data-flow problem. With
 // flow-side = IN for forward problems applied as
 //
@@ -244,9 +171,9 @@ type Problem struct {
 	// FuelError instead of iterating further, so a buggy (non-monotone)
 	// transfer function cannot spin the process.
 	Fuel int
-	// Ctx, when non-nil, lets the caller abandon the solve: the solvers
-	// poll it at iteration boundaries (each sweep, and every
-	// cancelInterval node visits within a sweep) and fail with a
+	// Ctx, when non-nil, lets the caller abandon the solve: the solver
+	// polls it at iteration boundaries (each sweep, and every
+	// cancelInterval node visits within a sweep) and fails with a
 	// *CancelError once it is done. Nil means "never canceled".
 	Ctx context.Context
 	// Scratch, when non-nil, supplies the solver's traversal order and
@@ -255,14 +182,9 @@ type Problem struct {
 	// the Result matrices and releases back to the arena whichever side
 	// it does not keep.
 	Scratch *Scratch
-	// Strategy selects the solver; the zero value Auto picks by problem
-	// shape. Every strategy reaches the identical fixpoint (DESIGN.md
-	// §11); tests force specific strategies to assert exactly that.
-	Strategy Strategy
 }
 
-// check validates the problem's shape against the graph. It is the shared
-// precondition of both solvers.
+// check validates the problem's shape against the graph.
 func (p *Problem) check(g Graph) error {
 	n := g.NumNodes()
 	if p.Gen == nil || p.Kill == nil {
@@ -312,39 +234,25 @@ func (s Stats) String() string {
 // backward ones, computed over reachable nodes; nodes unreachable in the
 // iteration direction keep their initial value.
 //
-// Solve dispatches on p.Strategy (Auto resolves by problem shape); every
-// strategy computes the identical solution, so callers never observe the
-// choice except through Stats and wall time.
-//
 // Solve fails with a descriptive error when the gen/kill matrices do not
 // match the graph and width, with a FuelError when p.Fuel is positive and
 // exhausted before the fixed point, and with a CancelError when p.Ctx is
 // done before the fixed point.
+//
+// The solver is a round-robin sweep over the whole vector of every node,
+// repeated until a sweep changes nothing. It works on the matrices' flat
+// word backing rather than per-row Vector views: most functions have a
+// universe of at most a word or two, so a Row header, a bounds check, and
+// a method dispatch per node visit would cost more than the word math
+// itself. The meet-side adjacency is flattened once per solve for the
+// same reason — two interface calls per edge per pass become one flat
+// index load. None of this changes what is computed; the op accounting
+// below mirrors the vector formulation exactly, so Stats stays the
+// comparable currency of experiment T4.
 func Solve(g Graph, p *Problem) (*Result, error) {
 	if err := p.check(g); err != nil {
 		return nil, err
 	}
-	switch p.pick(g) {
-	case Sliced:
-		return solveSliced(g, p)
-	case Sparse:
-		return solveSparse(g, p)
-	}
-	return solveSerial(g, p)
-}
-
-// solveSerial is the reference solver: round-robin sweeps over the whole
-// vector of every node until a sweep changes nothing.
-//
-// The sweep works on the matrices' flat word backing rather than per-row
-// Vector views: most functions have a universe of at most a word or two,
-// so a Row header, a bounds check, and a method dispatch per node visit
-// would cost more than the word math itself. The meet-side adjacency is
-// flattened once per solve for the same reason — two interface calls per
-// edge per pass become one flat index load. None of this changes what is
-// computed; the op accounting below mirrors the vector formulation
-// exactly, so Stats stays the comparable currency of experiment T4.
-func solveSerial(g Graph, p *Problem) (*Result, error) {
 	n := g.NumNodes()
 	var in, out *bitvec.Matrix
 	if p.Scratch != nil {

@@ -192,17 +192,11 @@ func TestFuelExhaustion(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Problem != "avail" || fe.Fuel != 3 {
 		t.Fatalf("FuelError fields wrong: %+v", err)
 	}
-	if _, err := SolveWorklist(diamondG(), p); !errors.Is(err, ErrFuelExhausted) {
-		t.Fatalf("SolveWorklist: want ErrFuelExhausted, got %v", err)
-	}
 
-	// With enough fuel both solvers converge and the budget is inert.
+	// With enough fuel the solver converges and the budget is inert.
 	p.Fuel = 1 << 20
 	if _, err := Solve(diamondG(), p); err != nil {
 		t.Fatalf("ample fuel: %v", err)
-	}
-	if _, err := SolveWorklist(diamondG(), p); err != nil {
-		t.Fatalf("ample fuel (worklist): %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,7 +29,7 @@ func randGraph(rng *rand.Rand, n int) *sliceGraph {
 func randMatrix(rng *rand.Rand, rows, cols int) *bitvec.Matrix {
 	m := bitvec.NewMatrix(rows, cols)
 	for i := 0; i < rows; i++ {
-		// Sparse-ish rows: set ~1/8 of the bits.
+		// Thin rows: set ~1/8 of the bits.
 		for b := 0; b < cols; b += 1 + rng.Intn(15) {
 			m.Set(i, b)
 		}
@@ -38,15 +37,76 @@ func randMatrix(rng *rand.Rand, rows, cols int) *bitvec.Matrix {
 	return m
 }
 
-// TestSolverEquivalence is the randomized harness the correctness of the
-// sliced and sparse strategies rests on: for random graphs, random
-// gen/kill sets, every direction × meet × boundary combination, and
-// widths spanning one word to past the tail bucket, the three solvers
-// must produce bit-identical In and Out matrices. Run under -race in CI,
-// it also proves the sliced solver's disjoint-word-column claim.
+// referenceSolve is the textbook formulation Solve's flat loop is an
+// optimization of: round-robin sweeps in the same iteration order, one
+// bitvec.Vector operation per step, through the Graph interface rather
+// than a flattened adjacency. Each vector operation counts once in
+// VectorOps: the first meet source's copy, every further And/Or, the
+// copy into the meet side, and the andnot/or/copy transfer chain.
+func referenceSolve(g Graph, p *Problem) *Result {
+	n := g.NumNodes()
+	res := &Result{In: bitvec.NewMatrix(n, p.Width), Out: bitvec.NewMatrix(n, p.Width)}
+	res.Stats.Name = p.Name
+	fiMat, foMat := res.In, res.Out
+	if p.Dir != Forward {
+		fiMat, foMat = res.Out, res.In
+	}
+	if p.Meet == Must {
+		for i := 0; i < n; i++ {
+			foMat.Row(i).SetAll()
+		}
+	}
+	meet, tmp := bitvec.New(p.Width), bitvec.New(p.Width)
+	order := iterationOrder(g, p.Dir)
+	for changed := true; changed; {
+		changed = false
+		res.Stats.Passes++
+		for _, node := range order {
+			res.Stats.NodeVisits++
+			degree, src := g.NumPreds(node), g.Pred
+			if p.Dir != Forward {
+				degree, src = g.NumSuccs(node), g.Succ
+			}
+			switch {
+			case degree == 0 && p.Boundary == BoundaryFull:
+				meet.SetAll()
+			case degree == 0:
+				meet.ClearAll()
+			default:
+				meet.CopyFrom(foMat.Row(src(node, 0)))
+				res.Stats.VectorOps++
+				for k := 1; k < degree; k++ {
+					if p.Meet == Must {
+						meet.And(foMat.Row(src(node, k)))
+					} else {
+						meet.Or(foMat.Row(src(node, k)))
+					}
+					res.Stats.VectorOps++
+				}
+			}
+			if fiMat.Row(node).CopyFrom(meet) {
+				changed = true
+			}
+			tmp.AndNotOf(meet, p.Kill.Row(node))
+			tmp.Or(p.Gen.Row(node))
+			if foMat.Row(node).CopyFrom(tmp) {
+				changed = true
+			}
+			res.Stats.VectorOps += 4
+		}
+	}
+	return res
+}
+
+// TestSolverEquivalence pins Solve against referenceSolve: for random
+// cyclic graphs, random gen/kill sets, every direction × meet × boundary
+// combination, widths from one bit to 66 words, and with and without a
+// shared scratch arena, the two must agree on In, Out and every Stats
+// counter. That is the check behind the flat loop's claim that its op
+// accounting mirrors the vector formulation experiment T4 reports.
 func TestSolverEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	widths := []int{1, 63, 64, 65, 300, 4200} // 4200 bits = 66 words: tail bucket
+	widths := []int{1, 63, 64, 65, 300, 4200}
 	if testing.Short() {
 		widths = []int{1, 65, 300}
 	}
@@ -65,145 +125,27 @@ func TestSolverEquivalence(t *testing.T) {
 							Name: name, Dir: dir, Meet: meet, Width: width,
 							Gen: gen, Kill: kill, Boundary: bnd,
 						}
-						pSerial := base
-						pSerial.Strategy = Serial
-						ref, err := Solve(g, &pSerial)
-						if err != nil {
-							t.Fatalf("%s serial: %v", name, err)
-						}
-						for _, strat := range []Strategy{Sliced, Sparse} {
-							// With and without a shared scratch arena.
-							for _, scratch := range []*Scratch{nil, sc} {
-								p := base
-								p.Strategy = strat
-								p.Scratch = scratch
-								got, err := Solve(g, &p)
-								if err != nil {
-									t.Fatalf("%s %v: %v", name, strat, err)
-								}
-								if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
-									t.Fatalf("%s: %v result differs from serial reference", name, strat)
-								}
-								if scratch != nil {
-									scratch.Release(got.In, got.Out)
-								}
+						ref := referenceSolve(g, &base)
+						for _, scratch := range []*Scratch{nil, sc} {
+							p := base
+							p.Scratch = scratch
+							got, err := Solve(g, &p)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
+								t.Fatalf("%s: solution differs from the reference", name)
+							}
+							if got.Stats != ref.Stats {
+								t.Fatalf("%s: stats %+v, reference %+v", name, got.Stats, ref.Stats)
+							}
+							if scratch != nil {
+								scratch.Release(got.In, got.Out)
 							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSolverEquivalenceAuto pins the dispatcher: whatever Auto picks must
-// match the serial reference on shapes that cross the dispatch thresholds.
-func TestSolverEquivalenceAuto(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shapes := []struct{ n, width int }{
-		{10, 40},                    // serial
-		{slicedMinNodes + 10, 300},  // sliced
-		{sparseMinNodes + 100, 40},  // sparse
-		{sparseMinNodes + 100, 300}, // sliced (wide wins)
-	}
-	for _, sh := range shapes {
-		g := randGraph(rng, sh.n)
-		gen := randMatrix(rng, sh.n, sh.width)
-		kill := randMatrix(rng, sh.n, sh.width)
-		base := Problem{
-			Name: "auto", Dir: Backward, Meet: Must, Width: sh.width,
-			Gen: gen, Kill: kill, Boundary: BoundaryEmpty,
-		}
-		pSerial := base
-		pSerial.Strategy = Serial
-		ref, err := Solve(g, &pSerial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pAuto := base
-		got, err := Solve(g, &pAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
-			t.Fatalf("n=%d width=%d: auto (%v) differs from serial", sh.n, sh.width, base.pick(g))
-		}
-	}
-}
-
-// TestSparseTelemetryCounts verifies the sparse solver reports skipped
-// words once the fixpoint localizes: on a long chain with one generating
-// node, later visits must cover far less than the whole vector.
-func TestSparseTelemetryCounts(t *testing.T) {
-	before := Telemetry()
-	n, width := 600, 1 // narrow + deep: Auto goes sparse
-	var edges [][2]int
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, [2]int{i, i + 1})
-	}
-	g := newSliceGraph(n, edges)
-	gen := bitvec.NewMatrix(n, width)
-	kill := bitvec.NewMatrix(n, width)
-	gen.Set(0, 0)
-	p := &Problem{Name: "chain", Dir: Forward, Meet: Must, Width: width, Gen: gen, Kill: kill}
-	if _, err := Solve(g, p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.pick(g); got != Sparse {
-		t.Fatalf("auto picked %v, want sparse", got)
-	}
-	// Width 1 = 1 word: nothing skippable. Use a wide forced-sparse solve
-	// over a cyclic graph (revisits carry partial masks) to observe skips.
-	rng := rand.New(rand.NewSource(3))
-	widew := 300
-	gw := randGraph(rng, n)
-	genW := randMatrix(rng, n, widew)
-	killW := randMatrix(rng, n, widew)
-	pw := &Problem{Name: "wide", Dir: Forward, Meet: Must, Width: widew, Gen: genW, Kill: killW, Strategy: Sparse}
-	if _, err := Solve(gw, pw); err != nil {
-		t.Fatal(err)
-	}
-	after := Telemetry()
-	if after.SparseSkips <= before.SparseSkips {
-		t.Fatalf("sparse skips did not advance: %d -> %d", before.SparseSkips, after.SparseSkips)
-	}
-}
-
-// TestSlicedTelemetryCounts verifies a wide solve advances the parallel
-// slice counter.
-func TestSlicedTelemetryCounts(t *testing.T) {
-	before := Telemetry()
-	rng := rand.New(rand.NewSource(9))
-	n, width := slicedMinNodes+20, 700
-	g := randGraph(rng, n)
-	p := &Problem{
-		Name: "wide", Dir: Forward, Meet: Must, Width: width,
-		Gen: randMatrix(rng, n, width), Kill: randMatrix(rng, n, width),
-	}
-	if got := p.pick(g); got != Sliced {
-		t.Fatalf("auto picked %v, want sliced", got)
-	}
-	if _, err := Solve(g, p); err != nil {
-		t.Fatal(err)
-	}
-	after := Telemetry()
-	if after.ParallelSlices <= before.ParallelSlices {
-		t.Fatalf("parallel slices did not advance: %d -> %d", before.ParallelSlices, after.ParallelSlices)
-	}
-}
-
-// TestSlicedErrorPaths checks fuel exhaustion and cancellation surface
-// from the sliced solver the same way they do from the serial one.
-func TestSlicedErrorPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, width := 50, 300
-	g := randGraph(rng, n)
-	p := &Problem{
-		Name: "fuel", Dir: Forward, Meet: Must, Width: width,
-		Gen: randMatrix(rng, n, width), Kill: randMatrix(rng, n, width),
-		Fuel: 3, Strategy: Sliced,
-	}
-	if _, err := Solve(g, p); !errors.Is(err, ErrFuelExhausted) {
-		t.Fatalf("expected fuel error, got %v", err)
 	}
 }

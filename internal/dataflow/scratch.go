@@ -7,10 +7,10 @@ import (
 )
 
 // Scratch is a reusable analysis arena: it caches the (reverse) postorder
-// traversal per graph and direction, and pools bit-vector matrices and
-// meet vectors so a sequence of solves — the four LCM problems, liveness,
-// repeated pipeline passes — stops reallocating its working state for
-// every analysis.
+// traversal per graph and direction, and pools bit-vector matrices,
+// vectors and solver buffers so a sequence of solves — the four LCM
+// problems, liveness, repeated pipeline passes — stops reallocating its
+// working state for every analysis.
 //
 // A Scratch never changes what a solver computes, only where its storage
 // comes from: the cached order is exactly the order iterationOrder would
@@ -172,8 +172,7 @@ func (s *Scratch) ReleaseVector(vs ...*bitvec.Vector) {
 }
 
 // Ints returns an int32 slice of length n from the pool, contents
-// unspecified. The solvers use it for flattened adjacency and the sparse
-// worklist for its intrusive index ring.
+// unspecified. The solver uses it for its flattened adjacency.
 func (s *Scratch) Ints(n int) []int32 {
 	s.mu.Lock()
 	best := -1
@@ -210,8 +209,7 @@ func (s *Scratch) ReleaseInts(vs ...[]int32) {
 }
 
 // Words returns a zeroed uint64 slice of length n from the pool. The
-// sparse worklist uses it for its membership bitset and pending-word
-// masks, both of which rely on a zeroed start.
+// solver uses it for its meet buffer.
 func (s *Scratch) Words(n int) []uint64 {
 	s.mu.Lock()
 	best := -1
@@ -284,23 +282,4 @@ func (p *Problem) order(g Graph) []int {
 		return p.Scratch.Order(g, p.Dir)
 	}
 	return iterationOrder(g, p.Dir)
-}
-
-// state allocates the solver's working state, drawing from the scratch
-// arena when available.
-func (p *Problem) state(n int) (in, out *bitvec.Matrix, meet *bitvec.Vector) {
-	if p.Scratch != nil {
-		return p.Scratch.Matrix(n, p.Width), p.Scratch.Matrix(n, p.Width), p.Scratch.Vector(p.Width)
-	}
-	return bitvec.NewMatrix(n, p.Width), bitvec.NewMatrix(n, p.Width), bitvec.New(p.Width)
-}
-
-// releaseState returns failed-solve state to the arena so error paths
-// (fuel, cancellation) do not leak pooled storage.
-func (p *Problem) releaseState(in, out *bitvec.Matrix, meet *bitvec.Vector) {
-	if p.Scratch == nil {
-		return
-	}
-	p.Scratch.Release(in, out)
-	p.Scratch.ReleaseVector(meet)
 }

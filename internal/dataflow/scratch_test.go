@@ -32,37 +32,32 @@ func scratchProblem(n, w int, sc *Scratch) *Problem {
 
 // TestScratchSolutionIdentical: the arena changes where storage comes
 // from, never what is computed — solution and stats match the fresh
-// allocation path exactly, for both solvers, and repeatedly so reused
-// (dirty) storage is proven to be re-zeroed.
+// allocation path exactly, and repeatedly so reused (dirty) storage is
+// proven to be re-zeroed.
 func TestScratchSolutionIdentical(t *testing.T) {
 	g := scratchGraph()
 	const w = 70 // force a partial last word
 	sc := NewScratch()
-	for _, solve := range []struct {
-		name string
-		fn   func(Graph, *Problem) (*Result, error)
-	}{{"Solve", Solve}, {"SolveWorklist", SolveWorklist}} {
-		fresh, err := solve.fn(g, scratchProblem(g.NumNodes(), w, nil))
+	fresh, err := Solve(g, scratchProblem(g.NumNodes(), w, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		got, err := Solve(g, scratchProblem(g.NumNodes(), w, sc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 3; round++ {
-			got, err := solve.fn(g, scratchProblem(g.NumNodes(), w, sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.In.Equal(fresh.In) || !got.Out.Equal(fresh.Out) {
-				t.Fatalf("%s round %d: scratch solution differs from fresh", solve.name, round)
-			}
-			if got.Stats != fresh.Stats {
-				t.Fatalf("%s round %d: stats %+v != fresh %+v", solve.name, round, got.Stats, fresh.Stats)
-			}
-			// Dirty the retained matrices, then hand them back: the next
-			// round must still match, proving pooled storage is re-zeroed.
-			got.In.Row(0).SetAll()
-			got.Out.Row(0).SetAll()
-			sc.Release(got.In, got.Out)
+		if !got.In.Equal(fresh.In) || !got.Out.Equal(fresh.Out) {
+			t.Fatalf("round %d: scratch solution differs from fresh", round)
 		}
+		if got.Stats != fresh.Stats {
+			t.Fatalf("round %d: stats %+v != fresh %+v", round, got.Stats, fresh.Stats)
+		}
+		// Dirty the retained matrices, then hand them back: the next
+		// round must still match, proving pooled storage is re-zeroed.
+		got.In.Row(0).SetAll()
+		got.Out.Row(0).SetAll()
+		sc.Release(got.In, got.Out)
 	}
 }
 

@@ -224,7 +224,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 			Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
 			Width: w, Gen: g.Comp, Kill: notTransp,
 			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-			Strategy: o.Strategy,
 		})
 		return err
 	})
@@ -234,7 +233,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 			Name: "usafe", Dir: dataflow.Forward, Meet: dataflow.Must,
 			Width: w, Gen: usafeGen, Kill: notTransp,
 			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-			Strategy: o.Strategy,
 		})
 		return err
 	})
@@ -291,7 +289,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		Name: "delay", Dir: dataflow.Forward, Meet: dataflow.Must,
 		Width: w, Gen: delayGen, Kill: g.Comp,
 		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		Strategy: o.Strategy,
 	})
 	if err != nil {
 		sc.Release(notTransp, delayGen, a.Earliest)
@@ -339,7 +336,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		Name: "isolated", Dir: dataflow.Backward, Meet: dataflow.Must,
 		Width: w, Gen: a.Latest, Kill: g.Comp,
 		Boundary: dataflow.BoundaryFull, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		Strategy: o.Strategy,
 	})
 	if err != nil {
 		sc.Release(notTransp)

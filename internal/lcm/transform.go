@@ -58,11 +58,6 @@ type Options struct {
 	// results (Result.Release / Analysis.Release) so the six retained
 	// predicate matrices recycle too.
 	Scratch *dataflow.Scratch
-	// Strategy selects the data-flow solver for all four fixpoints; the
-	// zero value Auto picks by problem shape. Every strategy computes
-	// bit-identical predicates (asserted by the randomized equivalence
-	// suite); tests force Serial/Sliced/Sparse to prove exactly that.
-	Strategy dataflow.Strategy
 }
 
 // Release returns the result's analysis and placement matrices to the

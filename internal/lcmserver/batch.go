@@ -91,7 +91,7 @@ func (b *batchBudget) next() time.Duration {
 // slot per function, so a batch cannot starve single requests beyond its
 // size and the counters balance item-for-item.
 //
-// Items are dispatched to the worker pool from up to Config.BatchParallel
+// Items are dispatched to the worker pool from up to Config.Workers
 // concurrent lanes, so a batch keeps several workers busy at once instead
 // of trickling jobs one handler-side wait at a time. Results are
 // collected per index and assembled in module order — parallelism is
@@ -148,7 +148,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	budget := s.budgetFor(req)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
-	lanes := min(s.cfg.BatchParallel, n)
+	lanes := min(s.cfg.Workers, n)
 	bb := newBatchBudget(time.Now().Add(budget), n, lanes)
 
 	results := make([]outcome, n)
@@ -228,7 +228,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatchJob(w http.ResponseWriter, r *http.Request, req optimizeRequest, mod *textir.Module, lvl overload.Level, start time.Time, seed uint64) {
 	n := len(mod.Funcs)
 	fuel, verify := s.optionsFor(req, lvl)
-	units := s.unitsFor(req, mod, fuel, verify)
+	units := s.unitsFor(req, mod, verify)
 	hdr := jobHeader{
 		Type: "header", Mode: req.Mode, Fuel: fuel, Verify: verify,
 		Canonical: req.Canonical, Created: time.Now(), Funcs: units,

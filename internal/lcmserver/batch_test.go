@@ -225,8 +225,8 @@ func TestBatchParallelDeterminism(t *testing.T) {
 		}
 	}
 	dirPar, dirSer := t.TempDir(), t.TempDir()
-	sPar, tsPar := newTestServer(t, Config{Workers: 4, BatchParallel: 4, Quarantine: dirPar, hook: hook})
-	sSer, tsSer := newTestServer(t, Config{Workers: 1, BatchParallel: 1, Quarantine: dirSer, hook: hook})
+	sPar, tsPar := newTestServer(t, Config{Workers: 4, Quarantine: dirPar, hook: hook})
+	sSer, tsSer := newTestServer(t, Config{Workers: 1, Quarantine: dirSer, hook: hook})
 
 	codePar, outPar := postBatch(t, tsPar, optimizeRequest{Program: batchModule})
 	codeSer, outSer := postBatch(t, tsSer, optimizeRequest{Program: batchModule})
@@ -287,7 +287,7 @@ func TestBatchParallelDeterminism(t *testing.T) {
 func TestBatchDeadlineRedistribution(t *testing.T) {
 	const hold = 600 * time.Millisecond
 	_, ts := newTestServer(t, Config{
-		Workers: 1, Queue: 16, BatchParallel: 1, CacheSize: -1,
+		Workers: 1, Queue: 16, CacheSize: -1,
 		hook: func(req optimizeRequest) {
 			if strings.Contains(req.Program, "slowpoke") {
 				time.Sleep(hold)

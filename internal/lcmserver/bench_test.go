@@ -34,7 +34,6 @@ func benchModule(tb testing.TB, n int) string {
 }
 
 func benchBatch(b *testing.B, cfg Config, module string) {
-	cfg.Workers = 8
 	cfg.Queue = 64
 	cfg.Timeout = time.Minute // measure throughput, not deadline slicing
 	cfg.CacheSize = -1        // every iteration must do the work being measured
@@ -56,8 +55,8 @@ func benchBatch(b *testing.B, cfg Config, module string) {
 }
 
 // BenchmarkBatchServer measures a batch of 8 functions end to end over
-// HTTP, serial dispatch (BatchParallel=1, the pre-parallel behavior)
-// against full-width dispatch (8 lanes into 8 workers).
+// HTTP, serial dispatch (one worker, so one lane) against full-width
+// dispatch (8 lanes into 8 workers).
 //
 // The compute variants run real LCM pipelines, so their serial/parallel
 // ratio tracks the host's core count (on a single-core machine they tie).
@@ -68,10 +67,10 @@ func benchBatch(b *testing.B, cfg Config, module string) {
 func BenchmarkBatchServer(b *testing.B) {
 	compute := benchModule(b, 8)
 	b.Run("compute/serial", func(b *testing.B) {
-		benchBatch(b, Config{BatchParallel: 1}, compute)
+		benchBatch(b, Config{Workers: 1}, compute)
 	})
 	b.Run("compute/parallel", func(b *testing.B) {
-		benchBatch(b, Config{BatchParallel: 8}, compute)
+		benchBatch(b, Config{Workers: 8}, compute)
 	})
 
 	var tiny strings.Builder
@@ -81,10 +80,10 @@ func BenchmarkBatchServer(b *testing.B) {
 	}
 	stall := func(optimizeRequest) { time.Sleep(10 * time.Millisecond) }
 	b.Run("latency/serial", func(b *testing.B) {
-		benchBatch(b, Config{BatchParallel: 1, hook: stall}, tiny.String())
+		benchBatch(b, Config{Workers: 1, hook: stall}, tiny.String())
 	})
 	b.Run("latency/parallel", func(b *testing.B) {
-		benchBatch(b, Config{BatchParallel: 8, hook: stall}, tiny.String())
+		benchBatch(b, Config{Workers: 8, hook: stall}, tiny.String())
 	})
 }
 

@@ -264,6 +264,40 @@ func TestCacheServesAtFullShed(t *testing.T) {
 	}
 }
 
+// TestCacheServesLevelZeroResultAtFullShed: the degrade level stays out
+// of the cache key. A function computed at level 0 under the full fuel
+// budget answers from cache at level 3, where the request's own fuel is
+// capped — fuel decides whether a clean result exists, never which one.
+func TestCacheServesLevelZeroResultAtFullShed(t *testing.T) {
+	// Two observations per level: the priming request (observation 1)
+	// runs at level 0, five probes then climb to level 3.
+	ladder := climbingLadder
+	ladder.UpAfter = 2
+	s, ts := newTestServer(t, Config{Workers: 1, Degrade: ladder})
+
+	code, primed := postOptimize(t, ts, optimizeRequest{Program: diamond})
+	if code != http.StatusOK || primed.DegradeLevel != 0 {
+		t.Fatalf("priming request: %d at level %d, want 200 at level 0", code, primed.DegradeLevel)
+	}
+	for i := 0; i < 5; i++ {
+		getHealthz(t, ts)
+	}
+
+	code, out := postOptimize(t, ts, optimizeRequest{Program: diamond})
+	if code != http.StatusOK {
+		t.Fatalf("level-0 result at shed level: %d %+v, want a cache hit", code, out)
+	}
+	if out.DegradeLevel != 3 {
+		t.Errorf("degrade_level = %d, want 3", out.DegradeLevel)
+	}
+	if out.Program != primed.Program {
+		t.Errorf("cache replay differs from the level-0 result:\n%s\nvs\n%s", out.Program, primed.Program)
+	}
+	if got := s.cacheHits.Load(); got != 1 {
+		t.Errorf("cache hits = %d, want 1", got)
+	}
+}
+
 // TestCacheCorruptionDetected: a bit flipped in a cached program on its
 // way out of memory is caught by the integrity checksum — the entry is
 // evicted and recomputed, and a corrupted result is never served.
@@ -311,7 +345,7 @@ func TestCacheCorruptionDetected(t *testing.T) {
 func TestDrainStopsMidFlightBatch(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{
-		Workers: 1, BatchParallel: 1, Queue: 32, Timeout: time.Minute,
+		Workers: 1, Queue: 32, Timeout: time.Minute,
 		Degrade: steadyLadder,
 		hook:    func(optimizeRequest) { <-release },
 	})

@@ -283,7 +283,7 @@ func deriveJobID(hdr jobHeader) string {
 // same entries single requests and other jobs hit); a chunk that does
 // not keeps its loose source and no key — it will fail per-item in the
 // worker exactly like a batch item does.
-func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, fuel int, verify bool) []jobUnit {
+func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, verify bool) []jobUnit {
 	units := make([]jobUnit, len(mod.Funcs))
 	for i, fd := range mod.Funcs {
 		src := fd.String()
@@ -292,7 +292,7 @@ func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, fuel int, ver
 			if fns, err := textir.Parse(src); err == nil && len(fns) == 1 {
 				canon := fns[0].String()
 				u.Src = canon
-				u.Key = fnCacheKey(req, canon, fuel, verify)
+				u.Key = fnCacheKey(req, canon, s.effectiveFuel(req), verify)
 			}
 		}
 		units[i] = u
@@ -534,7 +534,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 		return
 	}
 	hdr := js.hdr
-	lanes := min(s.cfg.BatchParallel, len(pending))
+	lanes := min(s.cfg.Workers, len(pending))
 	_ = conc.Parallel(len(pending), lanes, func(k int) error {
 		i := pending[k]
 		stopped := ctx.Err() != nil || s.draining.Load()
@@ -561,7 +561,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 		defer cancel()
 		j := &job{
 			ctx: ictx, req: ireq, done: make(chan outcome, 1), start: time.Now(),
-			fuel: hdr.Fuel, verify: hdr.Verify,
+			fuel: hdr.Fuel, verify: hdr.Verify, key: hdr.Funcs[i].Key,
 		}
 		// Even a stopped transient job dispatches (the worker observes the
 		// dead context and does the canceled accounting), mirroring batch.

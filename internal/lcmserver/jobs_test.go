@@ -643,7 +643,7 @@ func TestJobStreamWithholdsRunnerWhenShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := s.unitsFor(optimizeRequest{}, mod, 0, false)
+	units := s.unitsFor(optimizeRequest{}, mod, false)
 	hdr := jobHeader{Type: "header", Created: time.Now(), Funcs: units}
 	hdr.ID = deriveJobID(hdr)
 	js, created := s.createJob(hdr)
@@ -713,5 +713,27 @@ func TestFunctionCacheModuleEdit(t *testing.T) {
 		if firstFns[i].String() != secondFns[i].String() {
 			t.Errorf("untouched function %q changed across the edit", firstFns[i].Name)
 		}
+	}
+}
+
+// TestJobItemsKeyOnClientFuel: a job item's request carries no fuel of
+// its own, so the worker stores its result under the key the job derived
+// from the client's request. A single request with the same fuel then
+// replays every function the job computed.
+func TestJobItemsKeyOnClientFuel(t *testing.T) {
+	s, ts := newTestServer(t, Config{Degrade: steadyLadder})
+	req := optimizeRequest{Program: jobsModule, Fuel: 5000}
+	_, items, trailer := splitRecords(t, readStream(t, postStream(t, ts, req, true)))
+	if len(items) != 3 || !trailer.Done {
+		t.Fatalf("job stream: %d items done=%v, want 3/true", len(items), trailer.Done)
+	}
+	if h, m := s.cacheHits.Load(), s.cacheMisses.Load(); h != 0 || m != 3 {
+		t.Fatalf("job: hits/misses = %d/%d, want 0/3", h, m)
+	}
+	if code, _ := postOptimize(t, ts, req); code != http.StatusOK {
+		t.Fatalf("single request: %d", code)
+	}
+	if h, m := s.cacheHits.Load(), s.cacheMisses.Load(); h != 3 || m != 3 {
+		t.Errorf("single request after the job: hits/misses = %d/%d, want 3/3", h, m)
 	}
 }

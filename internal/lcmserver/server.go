@@ -63,10 +63,6 @@ type Config struct {
 	// Quarantine is the directory where inputs that fault or fall back
 	// are captured as regression seeds; "" disables capture.
 	Quarantine string
-	// BatchParallel bounds how many items of one /optimize/batch request
-	// are dispatched to the worker pool concurrently; 0 means Workers.
-	// 1 recovers strictly serial batch processing.
-	BatchParallel int
 	// CacheSize is the capacity of the content-addressed result cache:
 	// identical (program, directives) pairs replay their clean outcome
 	// without re-running the pipeline. 0 means DefaultCacheSize; negative
@@ -182,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 4 * c.Timeout
-	}
-	if c.BatchParallel <= 0 {
-		c.BatchParallel = c.Workers
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
@@ -427,11 +420,17 @@ type job struct {
 	start time.Time
 	// level is the degradation level the request was admitted under;
 	// fuel and verify are the effort options already resolved for that
-	// level, so the worker, the cache key and the quarantine directives
-	// all agree on what actually ran.
+	// level, so the worker and the quarantine directives agree on what
+	// actually ran. The cache key takes verify from here but the
+	// undegraded fuel (see optionsFor).
 	level  overload.Level
 	fuel   int
 	verify bool
+	// key, when set, is the cache key of req's single function, already
+	// derived by the job that dispatched it: a job item's request does
+	// not carry the client's fuel (the journal header keeps only the
+	// capped one), so the worker could not rebuild the key itself.
+	key string
 }
 
 // observe feeds the ladder one pressure sample built from the live
@@ -540,7 +539,10 @@ func (s *Server) admit(n int64) bool {
 // battery off and shrinks the fuel budget — both trade effort only:
 // verification is a re-check of an already-validated result, and fuel
 // decides whether a result is produced, never which result, so degraded
-// service can reduce work without ever changing an answer.
+// service can reduce work without ever changing an answer. For the same
+// reason the cache keys on the undegraded fuel, not the fuel returned
+// here: a clean result computed under the cap is the one the uncapped
+// budget would produce, and only clean results are cached.
 func (s *Server) optionsFor(req optimizeRequest, lvl overload.Level) (fuel int, verify bool) {
 	fuel = s.effectiveFuel(req)
 	verify = s.cfg.Verify || req.Verify
@@ -561,7 +563,7 @@ func (s *Server) optionsFor(req optimizeRequest, lvl overload.Level) (fuel int, 
 // a miss and counts nothing, keeping the hit counters exact. A full hit
 // is accounted like an admitted, optimized request so the outcome
 // counters keep balancing.
-func (s *Server) probeCache(req optimizeRequest, fuel int, verify bool) (outcome, bool) {
+func (s *Server) probeCache(req optimizeRequest, verify bool) (outcome, bool) {
 	if s.cache == nil {
 		return outcome{}, false
 	}
@@ -569,6 +571,7 @@ func (s *Server) probeCache(req optimizeRequest, fuel int, verify bool) (outcome
 	if err != nil || len(fns) == 0 {
 		return outcome{}, false
 	}
+	fuel := s.effectiveFuel(req)
 	resp := optimizeResponse{Functions: len(fns)}
 	parts := make([]string, 0, len(fns))
 	for _, f := range fns {
@@ -638,7 +641,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// Degraded: a cached result costs no worker time, so serve it
 		// even while shedding. At level 3 everything else sheds; at
 		// level 2 the miss still competes for admission below.
-		if out, hit := s.probeCache(req, fuel, verify); hit {
+		if out, hit := s.probeCache(req, verify); hit {
 			out.body.ElapsedMS = msSince(start)
 			out.body.DegradeLevel = int(lvl)
 			writeJSON(w, out.status, out.body)
@@ -690,7 +693,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// burst recovers its degradation level on the next probe instead of
 	// staying stuck at the level the burst pushed it to.
 	lvl := s.observe()
-	tele := dataflow.Telemetry()
 	status := "ok"
 	code := http.StatusOK
 	if s.draining.Load() {
@@ -742,12 +744,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"quarantine_writable": s.quarantineWritable(),
 		"disk_write_errors":   s.disk().WriteErrors(),
 		"disk_read_errors":    s.disk().ReadErrors(),
-		// Solver-core telemetry (process-wide): slices launched by the
-		// word-parallel strategy and words the sparse worklist skipped.
-		// A soak asserts these advance, proving the fast paths actually
-		// engage under load rather than silently falling back to serial.
-		"solver_parallel_slices": tele.ParallelSlices,
-		"solver_sparse_skips":    tele.SparseSkips,
+		// Retired with the word-sliced and sparse solvers: always 0. The
+		// keys stay only because svcbench still reads them.
+		"solver_parallel_slices": 0,
+		"solver_sparse_skips":    0,
 	}
 	// Hostile-storage telemetry: per-class fault totals from the vfs
 	// observer, plus the self-quarantining tier's state. disk_disabled
@@ -796,7 +796,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Like healthz, a readiness probe is also a pressure sample: frequent
 	// polling keeps the ladder descending after a burst.
 	lvl := s.observe()
-	tele := dataflow.Telemetry()
 	ready := !s.draining.Load() && lvl < overload.LevelShed
 	code := http.StatusOK
 	if !ready {
@@ -814,9 +813,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"stream_clients":  s.streamClients.Load(),
 		"fn_cache_hits":   s.cacheHits.Load(),
 		"fn_cache_misses": s.cacheMisses.Load(),
-		// Solver-core telemetry rides along for the gateway's fleet view.
-		"solver_parallel_slices": tele.ParallelSlices,
-		"solver_sparse_skips":    tele.SparseSkips,
 		// Disk-tier health rides along too, so the gateway folds the
 		// hostile-storage state per backend into its fleet summary.
 		"disk_disabled":            s.diskHealth.Disabled(),
@@ -1120,9 +1116,11 @@ func (s *Server) pipelineFor(j *job, sc *dataflow.Scratch) ([]pipeline.Pass, pip
 // behavior.
 func (s *Server) optimizeFn(j *job, f *ir.Function, passes []pipeline.Pass, opts pipeline.Options) (outcome, *outcome) {
 	src := f.String()
-	var key string
+	key := j.key
 	if s.cache != nil {
-		key = fnCacheKey(j.req, src, j.fuel, j.verify)
+		if key == "" {
+			key = fnCacheKey(j.req, src, s.effectiveFuel(j.req), j.verify)
+		}
 		out, ok, corrupted := s.cache.get(key)
 		if corrupted {
 			s.cacheCorrupt.Add(1)
@@ -1234,7 +1232,9 @@ func (s *Server) quarantine(req optimizeRequest, fuel int, verify bool) string {
 	}
 }
 
-// effectiveFuel resolves the fixpoint budget a request runs under.
+// effectiveFuel resolves a request's undegraded fixpoint budget: the
+// client's when positive, else the server default. Cache keys use it;
+// at degrade level 1+ the request runs under a cap (optionsFor).
 func (s *Server) effectiveFuel(req optimizeRequest) int {
 	if req.Fuel > 0 {
 		return req.Fuel

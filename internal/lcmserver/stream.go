@@ -89,7 +89,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(mod.Funcs)
 	fuel, verify := s.optionsFor(req, lvl)
-	units := s.unitsFor(req, mod, fuel, verify)
+	units := s.unitsFor(req, mod, verify)
 	persist := r.URL.Query().Has("job") && s.jobStore != nil
 
 	if persist {
@@ -145,7 +145,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	budget := s.budgetFor(req)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
-	bb := newBatchBudget(time.Now().Add(budget), n, min(s.cfg.BatchParallel, n))
+	bb := newBatchBudget(time.Now().Add(budget), n, min(s.cfg.Workers, n))
 	s.startRunner(js, ctx, bb, true)
 	s.follow(w, r, js, start)
 }

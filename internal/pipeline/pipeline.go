@@ -16,7 +16,7 @@
 //     exit, instruction well-formedness), and verify.TempsDefined checks
 //     that inserted temporaries are defined before use on all paths;
 //  3. fuel — Options.Fuel bounds every data-flow fixpoint inside a pass
-//     (threaded into dataflow.Solve/SolveWorklist and the bidirectional
+//     (threaded into dataflow.Solve and the bidirectional
 //     and LATER fixpoints), so a non-converging solver returns a bounded
 //     error instead of spinning;
 //  4. graceful degradation — on any failure the snapshot is discarded,
