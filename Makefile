@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke
+.PHONY: check fmt build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke
 
 # Tier-1 gate: everything CI and pre-commit must hold.
-check: build vet race
+check: fmt build vet race
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the
+# tree, the nested svcbench module included.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -28,10 +28,12 @@
 //
 //	-addr A          listen address (default :8657)
 //	-workers N       optimization worker pool size, and how many
-//	                 functions of one batch or stream are dispatched at
-//	                 once (default GOMAXPROCS)
+//	                 functions of one request — /optimize, batch or
+//	                 stream — are dispatched at once (default GOMAXPROCS)
 //	-queue N         admission queue capacity; a full queue sheds load
-//	                 with 429 + Retry-After (default 4×workers)
+//	                 with 429 + Retry-After (default 4×workers). A batch
+//	                 or stream needs a slot per function, an /optimize
+//	                 one, widening into free slots as it fans out
 //	-timeout D       default per-request budget (default 5s)
 //	-max-timeout D   cap on client-requested budgets (default 4×timeout)
 //	-fuel N          default node-visit budget per fixpoint (0 = unlimited)
@@ -64,8 +66,6 @@
 //	                 (default 30s)
 //	-degraded-fuel N fuel cap applied at degrade level 1+ (0 = default,
 //	                 negative disables the shrink)
-//	-target-latency D  latency the pressure gauge normalizes against
-//	                 (0 = timeout/4)
 //	-chaos SPEC      TEST ONLY: inject service-level faults, e.g.
 //	                 "seed=7,latency=5ms:0.2,stall=50ms:0.05,panic=0.02,
 //	                 fault=0.1,corrupt=0.2" (see internal/chaos)
@@ -75,10 +75,13 @@
 //	                 (see cmd/lcmtriage for the full triage CLI)
 //
 // The service wraps the hardened pass pipeline: every request runs under
-// its own deadline (threaded into each data-flow fixpoint), panics are
-// contained per request, and a faulting pass degrades that one response
-// to the validated input instead of killing the server. On SIGTERM the
-// server stops admitting work (503), finishes what is in flight, and
+// its own deadline (threaded into each data-flow fixpoint), the
+// functions of every request — /optimize, batch or stream — fan out
+// over the worker pool as items of one job, panics are contained per
+// function, and a faulting pass degrades that one function to the
+// validated input instead of killing the server. On SIGTERM the server
+// stops admitting work (503), refuses the functions of in-flight
+// requests it has not dispatched yet, finishes what is in flight, and
 // exits cleanly.
 //
 // Under sustained pressure the server walks a degradation ladder instead
@@ -140,7 +143,6 @@ func main() {
 	quarantine := fs.String("quarantine", "testdata/crashers", "directory for faulting inputs (\"\" disables)")
 	drain := fs.Duration("drain", 30*time.Second, "grace period for in-flight work on shutdown")
 	degradedFuel := fs.Int("degraded-fuel", 0, "fuel cap at degrade level 1+ (0 = default, negative disables)")
-	targetLatency := fs.Duration("target-latency", 0, "latency the pressure gauge normalizes against (0 = timeout/4)")
 	chaosSpec := fs.String("chaos", "", "TEST ONLY: service-level fault injection spec (see internal/chaos)")
 	triageMode := fs.Bool("triage", false, "promote the quarantine directory instead of serving")
 	_ = fs.Parse(os.Args[1:])
@@ -187,7 +189,6 @@ func main() {
 		IOTimeout:       *ioTimeout,
 		StreamHeartbeat: *streamHeartbeat,
 		DegradedFuel:    *degradedFuel,
-		TargetLatency:   *targetLatency,
 		Chaos:           injector,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -121,15 +121,10 @@ func encodeOutcome(out outcome) ([]byte, error) {
 // that decodes to an error, fallback, cancellation, or empty program is
 // rejected — whatever wrote it, it must not be replayed.
 func decodeOutcome(payload []byte) (outcome, bool) {
-	var body optimizeResponse
-	if err := json.Unmarshal(payload, &body); err != nil {
-		return outcome{}, false
-	}
-	if body.Program == "" || body.Error != "" || body.FellBack || body.Canceled {
-		return outcome{}, false
-	}
-	body.ElapsedMS = 0
-	return outcome{status: http.StatusOK, body: body}, true
+	out := outcome{status: http.StatusOK}
+	err := json.Unmarshal(payload, &out.body)
+	out.body.ElapsedMS = 0
+	return out, err == nil && isCleanOutcome(out)
 }
 
 // get returns the cached outcome for key, consulting memory first and

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,14 +268,12 @@ func (s *Server) journalDegraded() bool {
 // transient work is still flowing". Attaching to an existing job never
 // reaches this: its journal is already on disk and replay costs nothing.
 func (s *Server) rejectDegradedJournal(w http.ResponseWriter, start time.Time, lvl overload.Level, seed uint64) {
-	ms := s.retryAfterMS(lvl, seed)
-	w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
-	writeJSON(w, http.StatusServiceUnavailable, optimizeResponse{
+	writeOutcome(w, outcome{http.StatusServiceUnavailable, optimizeResponse{
 		Error:           "journal degraded: disk tier quarantined; retry later or resubmit without ?job=",
 		Kind:            "journal_degraded",
 		JournalDegraded: true,
 		DegradeLevel:    int(lvl),
-		RetryAfterMS:    ms,
+		RetryAfterMS:    s.retryAfterMS(lvl, seed),
 		ElapsedMS:       msSince(start),
-	})
+	}})
 }

@@ -53,7 +53,7 @@ func newPeerGroup(cfg Config) *peerGroup {
 		if _, dup := pg.peers[id]; dup {
 			continue
 		}
-		pg.peers[id] = fleet.NewBreaker(cfg.PeerBreaker)
+		pg.peers[id] = fleet.NewBreaker(fleet.BreakerConfig{})
 		pg.ring.Add(id)
 		pg.ids = append(pg.ids, id)
 	}

@@ -29,11 +29,9 @@ import (
 	"lazycm/internal/cachestore"
 	"lazycm/internal/chaos"
 	"lazycm/internal/dataflow"
-	"lazycm/internal/fleet"
 	"lazycm/internal/ir"
 	"lazycm/internal/overload"
 	"lazycm/internal/pipeline"
-	"lazycm/internal/textir"
 	"lazycm/internal/triage"
 	"lazycm/internal/vfs"
 )
@@ -88,17 +86,9 @@ type Config struct {
 	// DefaultPeerTimeout. Kept tight: a peer consult must cost a small
 	// fraction of what the pipeline would.
 	PeerTimeout time.Duration
-	// PeerBreaker tunes the per-peer circuit breakers that take dead or
-	// flaky peers out of the consult path.
-	PeerBreaker fleet.BreakerConfig
 	// Degrade tunes the degradation ladder's thresholds and hysteresis;
 	// the zero value takes overload's defaults.
 	Degrade overload.Config
-	// TargetLatency is what the pressure gauge normalizes smoothed
-	// request latency against; 0 means Timeout/4. When average latency
-	// approaches the request budget, the service is drowning even if the
-	// queue looks short.
-	TargetLatency time.Duration
 	// DegradedFuel caps the per-fixpoint fuel budget while the ladder is
 	// at level 1 or above, trading optimization effort for throughput.
 	// 0 means DefaultDegradedFuel; negative disables the shrink.
@@ -137,9 +127,10 @@ type Config struct {
 	// The zero value takes the documented defaults.
 	DiskHealth DiskHealthConfig
 
-	// hook, when non-nil, runs on the worker goroutine before each job,
-	// inside the per-request panic guard; tests use it to hold workers
-	// busy deterministically or to panic on a chosen input.
+	// hook, when non-nil, runs on the worker goroutine before each item,
+	// inside the per-item panic guard, with the item's single-function
+	// request; tests use it to hold workers busy deterministically or to
+	// panic on a chosen input.
 	hook func(optimizeRequest)
 }
 
@@ -182,14 +173,14 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
 	}
-	if c.TargetLatency <= 0 {
-		c.TargetLatency = c.Timeout / 4
-	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = DefaultPeerTimeout
 	}
 	if c.DegradedFuel == 0 {
 		c.DegradedFuel = DefaultDegradedFuel
+	}
+	if c.StreamHeartbeat <= 0 {
+		c.StreamHeartbeat = DefaultStreamHeartbeat
 	}
 	return c
 }
@@ -256,11 +247,14 @@ type Server struct {
 // NewServer builds the service and starts its worker pool.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	// The pressure gauge normalizes smoothed item latency against a
+	// quarter of the request budget: when latency approaches the budget,
+	// the service is drowning even if the queue looks short.
 	s := &Server{
 		cfg: cfg, jobs: make(chan *job, cfg.Queue), start: time.Now(),
 		cache:      newResultCache(cfg.CacheSize),
 		ladder:     overload.NewLadder(cfg.Degrade),
-		gauge:      overload.NewGauge(cfg.TargetLatency, 0),
+		gauge:      overload.NewGauge(cfg.Timeout/4, 0),
 		diskHealth: newDiskHealth(cfg.DiskHealth),
 	}
 	// The durable-path filesystem stack, bottom to top: the configured
@@ -296,8 +290,7 @@ func NewServer(cfg Config) *Server {
 		atomicio.SweepTmpFS(s.fs, cfg.Quarantine)
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	s.jobStore = newJobStore(cfg.JournalDir, cfg.JobTTL)
-	s.jobStore.fs = s.fs
+	s.jobStore = newJobStore(cfg.JournalDir, cfg.JobTTL, s.fs)
 	resumable := s.bootJobs()
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -323,9 +316,9 @@ func NewServer(cfg Config) *Server {
 // GET /readyz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /optimize", s.handleOptimize)
-	mux.HandleFunc("POST /optimize/batch", s.handleBatch)
-	mux.HandleFunc("POST /optimize/stream", s.handleStream)
+	mux.HandleFunc("POST /optimize", s.serveModule(viewSingle))
+	mux.HandleFunc("POST /optimize/batch", s.serveModule(viewBatch))
+	mux.HandleFunc("POST /optimize/stream", s.serveModule(viewStream))
 	mux.HandleFunc("GET /jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleJobStream)
 	mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
@@ -409,28 +402,30 @@ type outcome struct {
 	body   optimizeResponse
 }
 
-// job is one admitted request waiting for (or being processed by) a
-// worker. done is buffered so a worker can always complete a job even
-// when the handler has already given up on its deadline — that is what
-// keeps cancellation leak-free.
+// job is one admitted item — one function of a module request —
+// waiting for (or being processed by) a worker. done is buffered so a
+// worker can always complete an item even when its runner has already
+// given up on the deadline — that is what keeps cancellation leak-free.
 type job struct {
-	ctx   context.Context
-	req   optimizeRequest
+	ctx context.Context
+	// hdr holds the run's directives: mode, canonical, and the fuel and
+	// verify already resolved for the admission level, so the worker and
+	// the quarantine directives agree on what actually ran.
+	hdr *jobHeader
+	// unit arrives parsed and keyed by the submit step; the key embeds
+	// the client's undegraded fuel, which hdr does not carry.
+	unit  jobUnit
 	done  chan outcome
 	start time.Time
-	// level is the degradation level the request was admitted under;
-	// fuel and verify are the effort options already resolved for that
-	// level, so the worker and the quarantine directives agree on what
-	// actually ran. The cache key takes verify from here but the
-	// undegraded fuel (see optionsFor).
-	level  overload.Level
-	fuel   int
-	verify bool
-	// key, when set, is the cache key of req's single function, already
-	// derived by the job that dispatched it: a job item's request does
-	// not carry the client's fuel (the journal header keeps only the
-	// capped one), so the worker could not rebuild the key itself.
-	key string
+	// gauged items feed the pressure gauge one by one; an /optimize's
+	// run records one sample for its whole module instead (runJob).
+	gauged bool
+}
+
+// request is the single-function request an item stands for, as the
+// test hook and quarantine capture see it.
+func (j *job) request() optimizeRequest {
+	return optimizeRequest{Program: j.unit.Src, Mode: j.hdr.Mode, Canonical: j.hdr.Canonical}
 }
 
 // observe feeds the ladder one pressure sample built from the live
@@ -465,22 +460,23 @@ func (s *Server) retryAfterMS(lvl overload.Level, seed uint64) int64 {
 // the header in whole seconds (rounded up, per HTTP), the JSON body in
 // milliseconds.
 func (s *Server) reject(w http.ResponseWriter, status int, kind, msg string, start time.Time, lvl overload.Level, seed uint64) {
-	ms := s.retryAfterMS(lvl, seed)
-	w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
-	writeJSON(w, status, optimizeResponse{
-		Error: msg, Kind: kind, DegradeLevel: int(lvl), RetryAfterMS: ms, ElapsedMS: msSince(start),
-	})
+	writeOutcome(w, outcome{status, optimizeResponse{
+		Error: msg, Kind: kind, DegradeLevel: int(lvl), RetryAfterMS: s.retryAfterMS(lvl, seed), ElapsedMS: msSince(start),
+	}})
 }
 
-// requestSeed derives the deterministic jitter seed from the request
-// content.
-func requestSeed(req optimizeRequest) uint64 {
-	return overload.Seed(req.Program, req.Mode)
+// writeOutcome writes one response, with the Retry-After header (whole
+// seconds, rounded up) whenever the body carries a retry hint.
+func writeOutcome(w http.ResponseWriter, out outcome) {
+	if ms := out.body.RetryAfterMS; ms > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt((ms+999)/1000, 10))
+	}
+	writeJSON(w, out.status, out.body)
 }
 
-// decodeOptimize reads and vets the shared request shape of /optimize and
-// /optimize/batch: body size cap, JSON decode, mode defaulting and
-// validation. It writes the 400 itself and reports false on failure.
+// decodeOptimize reads and vets the request shape every module endpoint
+// shares: body size cap, JSON decode, mode defaulting and validation.
+// It writes the 400 itself and reports false on failure.
 func (s *Server) decodeOptimize(w http.ResponseWriter, r *http.Request, start time.Time) (optimizeRequest, bool) {
 	var req optimizeRequest
 	body := http.MaxBytesReader(w, r.Body, maxBody)
@@ -515,12 +511,10 @@ func (s *Server) budgetFor(req optimizeRequest) time.Duration {
 }
 
 // admit atomically reserves n queue slots, or none at all when fewer
-// than n are free. Single requests and batches go through the same
-// reservation, so a batch item is accounted exactly like a request and a
-// batch is admitted in full or shed in full — it can never wedge half
-// its functions into the queue. A successful reservation guarantees the
-// subsequent channel sends cannot block: jobs resident in the channel
-// never exceed the reserved count, which never exceeds the capacity.
+// than n are free, counting each as one admitted work item. A successful
+// reservation guarantees the subsequent channel sends cannot block: jobs
+// resident in the channel never exceed the reserved count, which never
+// exceeds the capacity.
 func (s *Server) admit(n int64) bool {
 	for {
 		q := s.queued.Load()
@@ -555,43 +549,6 @@ func (s *Server) optionsFor(req optimizeRequest, lvl overload.Level) (fuel int, 
 	return fuel, verify
 }
 
-// probeCache serves a request straight from the result cache without
-// touching the admission queue — the degraded-mode path that keeps
-// popular inputs answered even while new work sheds. The cache is
-// function-granular, so the probe parses the program (cheap next to the
-// pipeline) and answers only when every function hits; a partial hit is
-// a miss and counts nothing, keeping the hit counters exact. A full hit
-// is accounted like an admitted, optimized request so the outcome
-// counters keep balancing.
-func (s *Server) probeCache(req optimizeRequest, verify bool) (outcome, bool) {
-	if s.cache == nil {
-		return outcome{}, false
-	}
-	fns, err := textir.Parse(req.Program)
-	if err != nil || len(fns) == 0 {
-		return outcome{}, false
-	}
-	fuel := s.effectiveFuel(req)
-	resp := optimizeResponse{Functions: len(fns)}
-	parts := make([]string, 0, len(fns))
-	for _, f := range fns {
-		out, ok, corrupted := s.cache.get(fnCacheKey(req, f.String(), fuel, verify))
-		if corrupted {
-			s.cacheCorrupt.Add(1)
-		}
-		if !ok {
-			return outcome{}, false
-		}
-		parts = append(parts, out.body.Program)
-		resp.Applied = append(resp.Applied, out.body.Applied...)
-	}
-	s.cacheHits.Add(int64(len(fns)))
-	s.requests.Add(1)
-	s.optimized.Add(1)
-	resp.Program = strings.Join(parts, "\n")
-	return outcome{http.StatusOK, resp}, true
-}
-
 // handleCacheGet serves one content-addressed cache entry to a fleet
 // peer in cachestore's self-verifying wire format. Only the local tiers
 // (memory, then disk) are consulted — never this server's own peers, so
@@ -602,20 +559,13 @@ func (s *Server) probeCache(req optimizeRequest, verify bool) (outcome, bool) {
 // or non-clean result into the fleet.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if s.cache == nil || !cachestore.ValidKey(key) {
-		http.Error(w, "no such cache entry", http.StatusNotFound)
-		return
+	var payload []byte
+	if cachestore.ValidKey(key) {
+		if out, ok := s.cached(key); ok {
+			payload, _ = encodeOutcome(out)
+		}
 	}
-	out, ok, corrupted := s.cache.get(key)
-	if corrupted {
-		s.cacheCorrupt.Add(1)
-	}
-	if !ok {
-		http.Error(w, "no such cache entry", http.StatusNotFound)
-		return
-	}
-	payload, err := encodeOutcome(out)
-	if err != nil {
+	if payload == nil {
 		http.Error(w, "no such cache entry", http.StatusNotFound)
 		return
 	}
@@ -624,68 +574,90 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(cachestore.Encode(key, payload))
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ok := s.decodeOptimize(w, r, start)
-	if !ok {
-		return
-	}
-	lvl := s.observe()
-	seed := requestSeed(req)
-	if s.draining.Load() {
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining", start, lvl, seed)
-		return
-	}
-	fuel, verify := s.optionsFor(req, lvl)
-	if lvl >= overload.LevelCacheSingle {
-		// Degraded: a cached result costs no worker time, so serve it
-		// even while shedding. At level 3 everything else sheds; at
-		// level 2 the miss still competes for admission below.
-		if out, hit := s.probeCache(req, verify); hit {
+// serveModule is every module endpoint: decode the request, submit its
+// job, and render the job in the endpoint's view. The views differ only
+// in rendering, so one function's answer never depends on which
+// endpoint carried it.
+func (s *Server) serveModule(v view) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		req, ok := s.decodeOptimize(w, r, start)
+		if !ok {
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.budgetFor(req))
+		defer cancel()
+		js, lvl := s.submit(ctx, w, r, req, v, start)
+		if js == nil {
+			return
+		}
+		switch v {
+		case viewSingle:
+			if !js.wait(ctx) {
+				// The deadline fired while items were queued or in flight. The
+				// workers observe the same context at their next iteration
+				// boundary and do the canceled accounting; nothing leaks.
+				writeJSON(w, http.StatusGatewayTimeout, optimizeResponse{
+					Error: fmt.Sprintf("request abandoned: %v", ctx.Err()), Kind: "deadline",
+					Canceled: true, ElapsedMS: msSince(start),
+				})
+				return
+			}
+			out := js.joined()
 			out.body.ElapsedMS = msSince(start)
 			out.body.DegradeLevel = int(lvl)
-			writeJSON(w, out.status, out.body)
-			return
+			writeOutcome(w, out)
+		case viewBatch:
+			// A client that goes away leaves a persisted job computing; the
+			// next submission or GET /jobs/{id} picks the results up.
+			if js.wait(r.Context()) {
+				status, resp := js.batchResponse(start)
+				writeJSON(w, status, resp)
+			}
+		case viewStream:
+			s.follow(w, r, js, start)
 		}
-		if lvl >= overload.LevelShed {
-			s.shed.Add(1)
-			s.reject(w, http.StatusTooManyRequests, "overload",
-				"server is shedding all new work (degrade level 3)", start, lvl, seed)
-			return
+	}
+}
+
+// joined renders a finished job in the single /optimize shape, folding
+// its items in module order: the first failing function's own response,
+// or the programs joined by "\n" with applied passes and diagnostics
+// concatenated, fell_back when any function fell back, and quarantined
+// naming the first fallback's capture. The joined program is cut at the
+// first canceled function, whose deadline the rest shared.
+func (js *jobState) joined() outcome {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	n := len(js.hdr.Funcs)
+	resp := optimizeResponse{Functions: n}
+	parts := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		out := js.results[i]
+		if out.status != http.StatusOK && !out.body.Canceled {
+			return out
+		}
+		parts = append(parts, out.body.Program)
+		resp.Applied = append(resp.Applied, out.body.Applied...)
+		resp.Diagnostics = append(resp.Diagnostics, out.body.Diagnostics...)
+		if out.body.FellBack {
+			resp.FellBack = true
+			if resp.Quarantined == "" {
+				resp.Quarantined = out.body.Quarantined
+			}
+		}
+		if out.body.Canceled {
+			resp.Canceled = true
+			break
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.budgetFor(req))
-	defer cancel()
-
-	j := &job{
-		ctx: ctx, req: req, done: make(chan outcome, 1), start: start,
-		level: lvl, fuel: fuel, verify: verify,
+	resp.Program = strings.Join(parts, "\n")
+	if resp.Canceled {
+		resp.Error = "deadline exceeded during optimization"
+		resp.Kind = "deadline"
+		return outcome{http.StatusGatewayTimeout, resp}
 	}
-	if !s.admit(1) {
-		// Admission control: a full queue sheds load instead of building
-		// an unbounded backlog.
-		s.shed.Add(1)
-		s.reject(w, http.StatusTooManyRequests, "overload", "optimization queue is full", start, lvl, seed)
-		return
-	}
-	s.jobs <- j
-
-	select {
-	case out := <-j.done:
-		out.body.ElapsedMS = msSince(start)
-		out.body.DegradeLevel = int(lvl)
-		writeJSON(w, out.status, out.body)
-	case <-ctx.Done():
-		// The deadline fired while the job was queued or in flight. The
-		// worker observes the same context at its next iteration boundary,
-		// abandons the work, and does the canceled-counter accounting; the
-		// buffered done channel lets it finish without a receiver, so
-		// nothing leaks.
-		writeJSON(w, http.StatusGatewayTimeout, optimizeResponse{
-			Error: fmt.Sprintf("request abandoned: %v", ctx.Err()), Kind: "deadline",
-			Canceled: true, ElapsedMS: msSince(start),
-		})
-	}
+	return outcome{http.StatusOK, resp}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -796,6 +768,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Like healthz, a readiness probe is also a pressure sample: frequent
 	// polling keeps the ladder descending after a burst.
 	lvl := s.observe()
+	fw, fr, fsy, frn := s.diskHealth.Faults()
 	ready := !s.draining.Load() && lvl < overload.LevelShed
 	code := http.StatusOK
 	if !ready {
@@ -818,16 +791,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"disk_disabled":            s.diskHealth.Disabled(),
 		"disk_disable_transitions": s.diskHealth.Transitions(),
 		"journal_degraded":         s.journalDegraded(),
-		"disk_faults_write":        diskFaultAt(s, vfs.ClassWrite),
-		"disk_faults_read":         diskFaultAt(s, vfs.ClassRead),
-		"disk_faults_sync":         diskFaultAt(s, vfs.ClassSync),
-		"disk_faults_rename":       diskFaultAt(s, vfs.ClassRename),
+		"disk_faults_write":        fw,
+		"disk_faults_read":         fr,
+		"disk_faults_sync":         fsy,
+		"disk_faults_rename":       frn,
 	})
-}
-
-// diskFaultAt reads one per-class fault total for the probes.
-func diskFaultAt(s *Server, c vfs.Class) int64 {
-	return s.diskHealth.classFaults[c].Load()
 }
 
 // Stats is a point-in-time snapshot of the server's accounting
@@ -954,9 +922,11 @@ func (s *Server) worker() {
 		out := s.process(j, sc)
 		s.inflight.Add(-1)
 		s.account(out)
-		// Feed the pressure gauge: smoothed latency plus the miss rate
-		// (deadline losses and fallbacks) are two of the ladder's signals.
-		s.gauge.Record(time.Since(j.start), out.body.Canceled || out.body.FellBack)
+		if j.gauged {
+			// Feed the pressure gauge: smoothed latency plus the miss rate
+			// (deadline losses and fallbacks) are two of the ladder's signals.
+			s.gauge.Record(time.Since(j.start), out.body.Canceled || out.body.FellBack)
+		}
 		j.done <- out
 	}
 }
@@ -977,9 +947,9 @@ func (s *Server) account(out outcome) {
 	}
 }
 
-// process runs one request end to end under panic isolation. It never
+// process runs one item end to end under panic isolation. It never
 // panics and never returns a partial rewrite: the program it reports is
-// the pipeline's last-known-good function set.
+// the pipeline's last-known-good function.
 func (s *Server) process(j *job, sc *dataflow.Scratch) outcome {
 	if err := j.ctx.Err(); err != nil {
 		return outcome{http.StatusGatewayTimeout, optimizeResponse{
@@ -989,14 +959,14 @@ func (s *Server) process(j *job, sc *dataflow.Scratch) outcome {
 	var out outcome
 	perr := pipeline.Guard("optimize", func() error {
 		// The test hook runs inside the guard: even a hook that panics is
-		// contained like any other per-request fault, which is how the
-		// tests prove a worker survives an arbitrary panic on its goroutine.
+		// contained like any other per-item fault, which is how the tests
+		// prove a worker survives an arbitrary panic on its goroutine.
 		if s.cfg.hook != nil {
-			s.cfg.hook(j.req)
+			s.cfg.hook(j.request())
 		}
 		if in := s.cfg.Chaos; in != nil {
 			if d := in.Delay(); d > 0 {
-				// Injected latency respects the request context, like any
+				// Injected latency respects the item context, like any
 				// slow-but-honest dependency would.
 				t := time.NewTimer(d)
 				select {
@@ -1007,7 +977,7 @@ func (s *Server) process(j *job, sc *dataflow.Scratch) outcome {
 			}
 			if d := in.StallFor(); d > 0 {
 				// A stall deliberately ignores the context: it models a
-				// wedged worker, and the handler's deadline path must cope.
+				// wedged worker, and the runner's deadline path must cope.
 				time.Sleep(d)
 			}
 			if in.ShouldPanic() {
@@ -1019,9 +989,9 @@ func (s *Server) process(j *job, sc *dataflow.Scratch) outcome {
 	})
 	if perr != nil {
 		// A panic escaped the pipeline's own containment (e.g. in the
-		// parser or printer). Contain it here, quarantine the input, and
-		// keep the worker alive.
-		q := s.quarantine(j.req, j.fuel, j.verify)
+		// printer). Contain it here, quarantine the function, and keep the
+		// worker alive.
+		q := s.quarantine(j.request(), j.hdr.Fuel, j.hdr.Verify)
 		return outcome{http.StatusInternalServerError, optimizeResponse{
 			Error: perr.Error(), Kind: "panic", Quarantined: q,
 		}}
@@ -1029,65 +999,14 @@ func (s *Server) process(j *job, sc *dataflow.Scratch) outcome {
 	return out
 }
 
-func (s *Server) optimize(j *job, sc *dataflow.Scratch) outcome {
-	fns, err := textir.Parse(j.req.Program)
-	if err != nil {
-		return outcome{http.StatusBadRequest, optimizeResponse{
-			Error: err.Error(), Kind: "parse",
-		}}
-	}
-	if len(fns) == 0 {
-		return outcome{http.StatusBadRequest, optimizeResponse{
-			Error: "no functions in program", Kind: "parse",
-		}}
-	}
-	passes, opts := s.pipelineFor(j, sc)
-
-	// Function-granular cache-or-compute. LCM's analyses are
-	// intraprocedural, so each function's outcome is a pure function of
-	// its own body plus the resolved directives — one edited function in
-	// a large module misses alone while its neighbors replay, and a
-	// module request shares cache entries with batch/stream items that
-	// carry the same functions.
-	resp := optimizeResponse{Functions: len(fns)}
-	parts := make([]string, 0, len(fns))
-	for _, f := range fns {
-		u, fail := s.optimizeFn(j, f, passes, opts)
-		if fail != nil {
-			return *fail
-		}
-		parts = append(parts, u.body.Program)
-		resp.Applied = append(resp.Applied, u.body.Applied...)
-		resp.Diagnostics = append(resp.Diagnostics, u.body.Diagnostics...)
-		if u.body.FellBack {
-			resp.FellBack = true
-			if resp.Quarantined == "" {
-				resp.Quarantined = u.body.Quarantined
-			}
-		}
-		if u.body.Canceled {
-			resp.Canceled = true
-			break // the shared deadline is gone; later functions would only repeat it
-		}
-	}
-	resp.Program = strings.Join(parts, "\n")
-
-	if resp.Canceled {
-		resp.Error = "deadline exceeded during optimization"
-		resp.Kind = "deadline"
-		return outcome{http.StatusGatewayTimeout, resp}
-	}
-	return outcome{http.StatusOK, resp}
-}
-
-// pipelineFor builds the pass list and options one job runs under,
+// pipelineFor builds the pass list and options one item runs under,
 // including the chaos fault pass when injection is on.
 func (s *Server) pipelineFor(j *job, sc *dataflow.Scratch) ([]pipeline.Pass, pipeline.Options) {
-	pass, _ := pipeline.ForMode(j.req.Mode)
+	pass, _ := pipeline.ForMode(j.hdr.Mode)
 	opts := pipeline.Options{
-		Fuel:      j.fuel,
-		Canonical: j.req.Canonical,
-		Verify:    j.verify,
+		Fuel:      j.hdr.Fuel,
+		Canonical: j.hdr.Canonical,
+		Verify:    j.hdr.Verify,
 		Ctx:       j.ctx,
 		Scratch:   sc,
 	}
@@ -1108,37 +1027,35 @@ func (s *Server) pipelineFor(j *job, sc *dataflow.Scratch) ([]pipeline.Pass, pip
 	return passes, opts
 }
 
-// optimizeFn runs one function through cache-or-compute: consult the
-// function-granular key (memory → disk → peers), run the pipeline on a
-// full miss, store only clean results. The second return, when non-nil,
-// is a whole-request failure (invalid input or an escaped pipeline
-// error) that aborts the surrounding module, mirroring the pre-split
-// behavior.
-func (s *Server) optimizeFn(j *job, f *ir.Function, passes []pipeline.Pass, opts pipeline.Options) (outcome, *outcome) {
-	src := f.String()
-	key := j.key
-	if s.cache != nil {
-		if key == "" {
-			key = fnCacheKey(j.req, src, s.effectiveFuel(j.req), j.verify)
-		}
-		out, ok, corrupted := s.cache.get(key)
-		if corrupted {
-			s.cacheCorrupt.Add(1)
-		}
-		if ok {
+// optimize runs one item through cache-or-compute. The unit arrives
+// parsed and keyed, so the worker neither parses nor prints its input:
+// a unit the strict parser rejected answers its parse error, a keyed
+// unit consults the function-granular cache (memory → disk → peers),
+// and a full miss runs the pipeline. LCM's analyses are
+// intraprocedural, so one function's outcome is a pure function of its
+// own body plus the resolved directives, and only clean results are
+// stored.
+func (s *Server) optimize(j *job, sc *dataflow.Scratch) outcome {
+	u := j.unit
+	if u.perr != nil {
+		return outcome{http.StatusBadRequest, optimizeResponse{Error: u.perr.Error(), Kind: "parse"}}
+	}
+	cached := s.cache != nil && u.Key != ""
+	if cached {
+		if out, ok := s.cached(u.Key); ok {
 			s.cacheHits.Add(1)
-			return out, nil
+			return out
 		}
 		// Every local tier missed: ask the key's ring-owner neighbors
 		// before paying for the pipeline. Strictly fail-open — a nil
 		// payload or an undecodable one just means computing locally,
 		// exactly as if the tier did not exist.
 		if s.peers != nil {
-			if payload := s.peers.fetch(j.ctx, key); payload != nil {
+			if payload := s.peers.fetch(j.ctx, u.Key); payload != nil {
 				if out, ok := decodeOutcome(payload); ok {
 					s.peerHits.Add(1)
-					s.cache.putPayload(key, out, payload)
-					return out, nil
+					s.cache.putPayload(u.Key, out, payload)
+					return out
 				}
 			}
 			s.peerMisses.Add(1)
@@ -1146,42 +1063,49 @@ func (s *Server) optimizeFn(j *job, f *ir.Function, passes []pipeline.Pass, opts
 		s.cacheMisses.Add(1)
 	}
 
-	res, err := pipeline.Run(f, passes, opts)
+	passes, opts := s.pipelineFor(j, sc)
+	res, err := pipeline.Run(u.fn, passes, opts)
 	if err != nil {
+		status, kind := http.StatusInternalServerError, "panic"
 		if errors.Is(err, pipeline.ErrInvalidInput) {
-			return outcome{}, &outcome{http.StatusBadRequest, optimizeResponse{
-				Error: fmt.Sprintf("%s: %v", f.Name, err), Kind: "invalid",
-			}}
+			status, kind = http.StatusBadRequest, "invalid"
 		}
-		return outcome{}, &outcome{http.StatusInternalServerError, optimizeResponse{
-			Error: fmt.Sprintf("%s: %v", f.Name, err), Kind: "panic",
-		}}
+		return outcome{status, optimizeResponse{Error: fmt.Sprintf("%s: %v", u.fn.Name, err), Kind: kind}}
 	}
 	// Whatever happened, res.F is validated: the optimized function, or
 	// the last-known-good fallback (ultimately the input clone).
-	body := optimizeResponse{Program: res.F.String(), Functions: 1, Applied: res.Applied}
+	out := outcome{http.StatusOK, optimizeResponse{Program: res.F.String(), Functions: 1, Applied: res.Applied}}
 	if res.FellBack() {
-		body.Diagnostics = res.Diagnostics()
+		out.body.Diagnostics = res.Diagnostics()
 		if res.Canceled() {
-			body.Canceled = true
+			out.status = http.StatusGatewayTimeout
+			out.body.Canceled = true
+			out.body.Error = "deadline exceeded during optimization"
+			out.body.Kind = "deadline"
 		} else {
-			body.FellBack = true
 			// A fallback means some pass faulted on this function: capture
 			// exactly the faulting function so failures under load become
 			// minimal regression seeds.
-			qreq := j.req
-			qreq.Program = src
-			body.Quarantined = s.quarantine(qreq, j.fuel, j.verify)
+			out.body.FellBack = true
+			out.body.Quarantined = s.quarantine(j.request(), j.hdr.Fuel, j.hdr.Verify)
 		}
-	}
-	out := outcome{http.StatusOK, body}
-	if s.cache != nil && !body.FellBack && !body.Canceled {
+	} else if cached {
 		// Only clean successes are cacheable: the outcome is then a pure
-		// function of the key. (Cancellations depend on the request
-		// deadline; fallbacks must keep quarantining.)
-		s.cache.put(key, out)
+		// function of the key. (Cancellations depend on the deadline;
+		// fallbacks must keep quarantining.)
+		s.cache.put(u.Key, out)
 	}
-	return out, nil
+	return out
+}
+
+// cached looks key up in the result cache (nil-safe), counting a read
+// that failed its integrity check.
+func (s *Server) cached(key string) (outcome, bool) {
+	out, ok, corrupted := s.cache.get(key)
+	if corrupted {
+		s.cacheCorrupt.Add(1)
+	}
+	return out, ok
 }
 
 // quarantine captures a faulting input in the configured directory as a

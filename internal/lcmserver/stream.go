@@ -1,14 +1,11 @@
 package lcmserver
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	"lazycm/internal/overload"
-	"lazycm/internal/textir"
 )
 
 // DefaultStreamHeartbeat is the keep-alive cadence on NDJSON streams
@@ -46,129 +43,11 @@ type streamBeat struct {
 // shutdown, per-item deadline losses): the client should reconnect with
 // the job ID rather than treat the stream as complete.
 type streamTrailer struct {
-	Type      string `json:"type"` // "trailer"
-	ID        string `json:"id,omitempty"`
-	Done      bool   `json:"done"`
-	Functions int    `json:"functions"`
-	Completed int    `json:"completed"`
-	Optimized int    `json:"optimized"`
-	FellBack  int    `json:"fell_back"`
-	Failed    int    `json:"failed"`
-	ElapsedMS int64  `json:"elapsed_ms"`
-}
-
-// handleStream is POST /optimize/stream: the batch workload with
-// incremental results — one NDJSON record per function as it lands,
-// heartbeats while nothing does, a trailer with the aggregates. With
-// ?job=1 the work is registered (and, when a journal directory is
-// configured, journaled) as a resumable job that survives client
-// disconnects and server crashes; without it the stream is transient
-// and cancels with the request, exactly like a batch.
-//
-// Admission is item-exact and shares every rule with /optimize/batch:
-// draining 503s, level 2+ sheds whole modules, and both rejections
-// carry the Retry-After contract.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ok := s.decodeOptimize(w, r, start)
-	if !ok {
-		return
-	}
-	lvl := s.observe()
-	seed := requestSeed(req)
-	if s.draining.Load() {
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining", start, lvl, seed)
-		return
-	}
-	mod, err := textir.ParseModule(req.Program)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, optimizeResponse{
-			Error: err.Error(), Kind: "parse", ElapsedMS: msSince(start),
-		})
-		return
-	}
-	n := len(mod.Funcs)
-	fuel, verify := s.optionsFor(req, lvl)
-	units := s.unitsFor(req, mod, verify)
-	persist := r.URL.Query().Has("job") && s.jobStore != nil
-
-	if persist {
-		hdr := jobHeader{
-			Type: "header", ID: "", Mode: req.Mode, Fuel: fuel, Verify: verify,
-			Canonical: req.Canonical, Created: time.Now(), Funcs: units,
-		}
-		hdr.ID = deriveJobID(hdr)
-		// Attach before admission: re-submitting an in-flight (or already
-		// finished) job must not admit — or shed — its work twice. A job
-		// loaded from a journal holds key-only records until resolved.
-		if js := s.jobStore.get(hdr.ID); js != nil {
-			if s.cache != nil {
-				s.resolveRecorded(js)
-			}
-			s.ensureRunner(js)
-			s.follow(w, r, js, start)
-			return
-		}
-		if s.journalDegraded() {
-			s.rejectDegradedJournal(w, start, lvl, seed)
-			return
-		}
-		if !s.shedStream(w, n, lvl, start, seed) {
-			return
-		}
-		js, created := s.createJob(hdr)
-		if created {
-			js.mu.Lock()
-			js.running = true
-			js.mu.Unlock()
-			s.startRunner(js, s.jobsCtx, nil, true)
-		} else {
-			// Lost a create race: the winner's admission stands, refund ours.
-			s.queued.Add(int64(-n))
-			s.requests.Add(int64(-n))
-			s.ensureRunner(js)
-		}
-		s.follow(w, r, js, start)
-		return
-	}
-
-	if !s.shedStream(w, n, lvl, start, seed) {
-		return
-	}
-	hdr := jobHeader{Type: "header", Mode: req.Mode, Fuel: fuel, Verify: verify,
-		Canonical: req.Canonical, Created: time.Now(), Funcs: units}
-	js := newJobState(hdr, false)
-	js.running = true
-	// A transient stream lives and dies with its request: the budget is
-	// sliced across items like a batch, and a dropped client cancels the
-	// remaining work (the workers account it canceled).
-	budget := s.budgetFor(req)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	bb := newBatchBudget(time.Now().Add(budget), n, min(s.cfg.Workers, n))
-	s.startRunner(js, ctx, bb, true)
-	s.follow(w, r, js, start)
-}
-
-// shedStream applies the batch admission rules to a stream of n items:
-// level 2+ sheds the whole module, then the queue reservation is
-// all-or-nothing. Reports whether the stream was admitted.
-func (s *Server) shedStream(w http.ResponseWriter, n int, lvl overload.Level, start time.Time, seed uint64) bool {
-	if lvl >= overload.LevelCacheSingle {
-		// A stream is batch-wide work: level 2 sheds it first, item-exact,
-		// while single requests and cache hits keep flowing.
-		s.shed.Add(int64(n))
-		s.reject(w, http.StatusTooManyRequests, "overload",
-			fmt.Sprintf("server is shedding stream work (degrade level %d)", int(lvl)), start, lvl, seed)
-		return false
-	}
-	if !s.admit(int64(n)) {
-		s.shed.Add(int64(n))
-		s.reject(w, http.StatusTooManyRequests, "overload",
-			fmt.Sprintf("optimization queue cannot hold %d functions", n), start, lvl, seed)
-		return false
-	}
-	return true
+	Type string `json:"type"` // "trailer"
+	ID   string `json:"id,omitempty"`
+	Done bool   `json:"done"`
+	tally
+	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
 // snapshotFollow returns the stream records completed beyond emitted,
@@ -187,21 +66,14 @@ func (js *jobState) snapshotFollow(emitted int) (items []streamItem, done, runni
 }
 
 // counts aggregates completed items batch-style.
-func (js *jobState) counts() (completed, optimized, fellBack, failed int) {
+func (js *jobState) counts() tally {
 	js.mu.Lock()
 	defer js.mu.Unlock()
+	t := tally{Functions: len(js.hdr.Funcs)}
 	for _, out := range js.results {
-		completed++
-		switch {
-		case out.status == http.StatusOK && !out.body.FellBack && !out.body.Canceled:
-			optimized++
-		case out.status == http.StatusOK:
-			fellBack++
-		default:
-			failed++
-		}
+		t.add(out)
 	}
-	return
+	return t
 }
 
 // follow writes one NDJSON stream for a job: replay what is already
@@ -228,18 +100,11 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, js *jobState, st
 		}
 		return true
 	}
-	id := ""
-	if js.persisted {
-		id = js.id
-	}
+	id := js.id // "" for a transient stream
 	if !write(streamMeta{Type: "job", ID: id, Functions: len(js.hdr.Funcs)}) {
 		return
 	}
-	hb := s.cfg.StreamHeartbeat
-	if hb <= 0 {
-		hb = DefaultStreamHeartbeat
-	}
-	ticker := time.NewTicker(hb)
+	ticker := time.NewTicker(s.cfg.StreamHeartbeat)
 	defer ticker.Stop()
 
 	emitted := 0
@@ -252,13 +117,7 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, js *jobState, st
 		}
 		emitted += len(items)
 		if done || !running {
-			completed, optimized, fellBack, failed := js.counts()
-			write(streamTrailer{
-				Type: "trailer", ID: id, Done: done,
-				Functions: len(js.hdr.Funcs), Completed: completed,
-				Optimized: optimized, FellBack: fellBack, Failed: failed,
-				ElapsedMS: msSince(start),
-			})
+			write(streamTrailer{Type: "trailer", ID: id, Done: done, tally: js.counts(), ElapsedMS: msSince(start)})
 			return
 		}
 		select {
@@ -276,38 +135,34 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, js *jobState, st
 // jobSnapshot is the JSON body of GET /jobs/{id}: progress plus every
 // finished item, batch-shaped.
 type jobSnapshot struct {
-	ID        string       `json:"id"`
-	Done      bool         `json:"done"`
-	Running   bool         `json:"running"`
-	Functions int          `json:"functions"`
-	Completed int          `json:"completed"`
-	Optimized int          `json:"optimized"`
-	FellBack  int          `json:"fell_back"`
-	Failed    int          `json:"failed"`
-	Results   []streamItem `json:"results,omitempty"`
+	ID      string `json:"id"`
+	Done    bool   `json:"done"`
+	Running bool   `json:"running"`
+	tally
+	Results []streamItem `json:"results,omitempty"`
 }
 
-// handleJobGet is GET /jobs/{id}: a point-in-time progress snapshot.
-// Unknown IDs (never submitted, or expired at boot) are authoritative
-// 404s — at fleet scope the gateway walks replicas on 404, since a
-// job lives only on the backend that admitted it.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+// lookupJob finds the job a GET /jobs request names, with its journaled
+// completions resolved, or answers 404. Unknown IDs (never submitted,
+// or expired at boot) are authoritative 404s — at fleet scope the
+// gateway walks replicas on 404, since a job lives only on the backend
+// that admitted it.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *jobState {
 	js := s.jobStore.get(r.PathValue("id"))
 	if js == nil {
 		writeJSON(w, http.StatusNotFound, optimizeResponse{Error: "no such job", Kind: "job"})
-		return
+		return nil
 	}
-	if s.cache != nil {
-		s.resolveRecorded(js)
+	s.resolveRecorded(js)
+	return js
+}
+
+// handleJobGet is GET /jobs/{id}: a point-in-time progress snapshot.
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	if js := s.lookupJob(w, r); js != nil {
+		items, done, running, _ := js.snapshotFollow(0)
+		writeJSON(w, http.StatusOK, jobSnapshot{ID: js.id, Done: done, Running: running, tally: js.counts(), Results: items})
 	}
-	items, done, running, _ := js.snapshotFollow(0)
-	completed, optimized, fellBack, failed := js.counts()
-	writeJSON(w, http.StatusOK, jobSnapshot{
-		ID: js.id, Done: done, Running: running,
-		Functions: len(js.hdr.Funcs), Completed: completed,
-		Optimized: optimized, FellBack: fellBack, Failed: failed,
-		Results: items,
-	})
 }
 
 // handleJobStream is GET /jobs/{id}/stream: the resume half of the
@@ -318,13 +173,9 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // serves and the trailer's done:false tells the client to come back.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	js := s.jobStore.get(r.PathValue("id"))
+	js := s.lookupJob(w, r)
 	if js == nil {
-		writeJSON(w, http.StatusNotFound, optimizeResponse{Error: "no such job", Kind: "job"})
 		return
-	}
-	if s.cache != nil {
-		s.resolveRecorded(js)
 	}
 	if lvl := s.observe(); lvl < overload.LevelCacheSingle {
 		s.ensureRunner(js)
