@@ -22,10 +22,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the parser and the hardened pipeline.
+# Short fuzz pass over the parser, its equivalence with the reference
+# parsers it replaced, and the hardened pipeline. Each -fuzz pattern is
+# anchored: go test fuzzes only a pattern that matches one target.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=30s ./internal/textir
-	$(GO) test -run=NONE -fuzz=FuzzPipeline -fuzztime=30s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzParseEquiv$$' -fuzztime=30s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzPipeline$$' -fuzztime=30s ./internal/textir
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -63,8 +66,11 @@ serve:
 # stalls, induced panics, buggy passes, and cache corruption injected
 # against the full lcmd server while the accounting, quarantine, and
 # no-goroutine-leak invariants are asserted. Crashers captured during
-# the soak land in _quarantine/chaos for triage.
+# the soak land in _quarantine/chaos for triage. The directory starts
+# empty: the soak's faults are seeded and capture dedupes by content, so
+# a re-run into an earlier run's captures would capture nothing new.
 chaos:
+	rm -rf _quarantine/chaos
 	mkdir -p _quarantine/chaos
 	LCM_CHAOS_QUARANTINE=$(CURDIR)/_quarantine/chaos \
 		$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/lcmserver/

@@ -119,10 +119,13 @@ func CriticalEdges(f *ir.Function) []Edge {
 // so that insertions on an edge never execute on other paths.
 func SplitCriticalEdges(f *ir.Function) int {
 	crit := CriticalEdges(f)
+	var names ir.BlockNamer
+	if len(crit) > 0 {
+		names = f.BlockNamer()
+	}
 	for _, e := range crit {
 		to := e.To()
-		name := f.FreshBlockName(e.From.Name + "." + to.Name + ".split")
-		nb := f.AddBlock(name)
+		nb := f.AddBlock(names.Fresh(e.From.Name + "." + to.Name + ".split"))
 		nb.Term = ir.Terminator{Kind: ir.Jump, Then: to}
 		e.From.SetSucc(e.Index, nb)
 	}

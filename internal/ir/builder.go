@@ -10,17 +10,34 @@ type Builder struct {
 	fn   *Function
 	cur  *Block
 	errs []error
-	// pending maps a block to its terminator's unresolved target names.
-	pending map[*Block][2]string
-	termSet map[*Block]bool
+	// blocks indexes the declared blocks by name.
+	blocks map[string]*Block
+	// terms holds each block's terminator state, indexed by block ID.
+	terms []termState
+	// filling is the block that was started last. Blocks share chunks
+	// of statements: the rest of a chunk is filling's spare capacity, so
+	// adding to it appends in place.
+	filling *Block
+	// chunkLen is the length of the last chunk allocated.
+	chunkLen int
+}
+
+// maxChunk bounds a statement chunk's length; chunks double up to it, so a
+// function wastes at most one chunk's tail.
+const maxChunk = 256
+
+// termState is one block's terminator state: whether it has one, and the
+// target names it still has to resolve.
+type termState struct {
+	set       bool
+	then, els string
 }
 
 // NewBuilder starts a function with the given name and parameters.
 func NewBuilder(name string, params ...string) *Builder {
 	return &Builder{
-		fn:      &Function{Name: name, Params: params},
-		pending: make(map[*Block][2]string),
-		termSet: make(map[*Block]bool),
+		fn:     &Function{Name: name, Params: params},
+		blocks: make(map[string]*Block),
 	}
 }
 
@@ -32,60 +49,76 @@ func (bd *Builder) errorf(format string, args ...any) {
 // current. Declaring the same name twice is an error unless the block has
 // no terminator yet.
 func (bd *Builder) Block(name string) *Builder {
-	if b := bd.fn.BlockByName(name); b != nil {
-		if bd.termSet[b] {
-			bd.errorf("block %q declared twice", name)
-		}
-		bd.cur = b
-		return bd
+	b := bd.blocks[name]
+	switch {
+	case b == nil:
+		b = bd.fn.AddBlock(name)
+		bd.blocks[name] = b
+		bd.terms = append(bd.terms, termState{})
+	case bd.terms[b.ID].set:
+		bd.errorf("block %q declared twice", name)
 	}
-	bd.cur = bd.fn.AddBlock(name)
+	bd.cur = b
 	return bd
 }
 
 func (bd *Builder) need() *Block {
 	if bd.cur == nil {
 		bd.errorf("statement before any block")
-		bd.cur = bd.fn.AddBlock("entry")
+		bd.Block("entry")
 	}
-	if bd.termSet[bd.cur] {
+	if bd.terms[bd.cur.ID].set {
 		bd.errorf("statement after terminator in block %q", bd.cur.Name)
 	}
 	return bd.cur
 }
 
+// add appends in to the current block. A block's first statement starts
+// it in the spare capacity of the block filled before it, which is capped
+// at its own statements, or in a new chunk. From there a block grows as
+// any slice does.
+func (bd *Builder) add(in Instr) *Builder {
+	b := bd.need()
+	if len(b.Instrs) == 0 {
+		var rest []Instr
+		if f := bd.filling; f != nil {
+			rest = f.Instrs[len(f.Instrs):]
+			f.Instrs = f.Instrs[:len(f.Instrs):len(f.Instrs)]
+		}
+		if cap(rest) == 0 {
+			bd.chunkLen = min(max(2*bd.chunkLen, 16), maxChunk)
+			rest = make([]Instr, 0, bd.chunkLen)
+		}
+		b.Instrs, bd.filling = rest, b
+	}
+	b.Instrs = append(b.Instrs, in)
+	return bd
+}
+
 // BinOp appends dst = a op b to the current block.
 func (bd *Builder) BinOp(dst string, op Op, a, b Operand) *Builder {
-	bd.need().Append(NewBinOp(dst, op, a, b))
-	return bd
+	return bd.add(NewBinOp(dst, op, a, b))
 }
 
 // Copy appends dst = src to the current block.
 func (bd *Builder) Copy(dst string, src Operand) *Builder {
-	bd.need().Append(NewCopy(dst, src))
-	return bd
+	return bd.add(NewCopy(dst, src))
 }
 
 // Print appends print v to the current block.
-func (bd *Builder) Print(v Operand) *Builder {
-	bd.need().Append(NewPrint(v))
-	return bd
-}
+func (bd *Builder) Print(v Operand) *Builder { return bd.add(NewPrint(v)) }
 
 // Nop appends a no-op to the current block.
-func (bd *Builder) Nop() *Builder {
-	bd.need().Append(NewNop())
-	return bd
-}
+func (bd *Builder) Nop() *Builder { return bd.add(NewNop()) }
 
 func (bd *Builder) setTerm(t Terminator, then, els string) {
 	b := bd.need()
-	if bd.errs != nil && bd.termSet[b] {
+	st := &bd.terms[b.ID]
+	if bd.errs != nil && st.set {
 		return
 	}
 	b.Term = t
-	bd.pending[b] = [2]string{then, els}
-	bd.termSet[b] = true
+	st.set, st.then, st.els = true, then, els
 	bd.cur = nil
 }
 
@@ -115,19 +148,24 @@ func (bd *Builder) RetVoid() *Builder {
 
 // Finish resolves targets, recomputes CFG metadata, validates, and returns
 // the function. It returns an error if construction or validation failed.
+// Targets resolve in block order, so of several undefined targets the
+// first in block order is the one reported.
 func (bd *Builder) Finish() (*Function, error) {
-	for b, tgt := range bd.pending {
+	for _, b := range bd.fn.Blocks {
+		st := bd.terms[b.ID]
+		if !st.set {
+			continue
+		}
 		switch b.Term.Kind {
 		case Jump:
-			t := bd.fn.BlockByName(tgt[0])
+			t := bd.blocks[st.then]
 			if t == nil {
-				bd.errorf("block %q jumps to undefined block %q", b.Name, tgt[0])
+				bd.errorf("block %q jumps to undefined block %q", b.Name, st.then)
 				continue
 			}
 			b.Term.Then = t
 		case Branch:
-			t := bd.fn.BlockByName(tgt[0])
-			e := bd.fn.BlockByName(tgt[1])
+			t, e := bd.blocks[st.then], bd.blocks[st.els]
 			if t == nil || e == nil {
 				bd.errorf("block %q branches to undefined block", b.Name)
 				continue
@@ -136,7 +174,7 @@ func (bd *Builder) Finish() (*Function, error) {
 		}
 	}
 	for _, b := range bd.fn.Blocks {
-		if !bd.termSet[b] {
+		if !bd.terms[b.ID].set {
 			bd.errorf("block %q has no terminator", b.Name)
 		}
 	}

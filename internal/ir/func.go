@@ -3,7 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Function is a procedure: an ordered list of basic blocks. Blocks[0] is
@@ -31,10 +31,37 @@ func (f *Function) NumBlocks() int { return len(f.Blocks) }
 
 // Recompute renumbers blocks with dense IDs in Blocks order and rebuilds
 // predecessor lists. Call it after any structural mutation.
+//
+// Each list holds one entry per edge, in Blocks and successor order. A
+// list keeps its backing array when that is large enough; the lists that
+// need more room share one new array. A target outside the function (a
+// state Validate reports) gets its entry appended to its own list.
 func (f *Function) Recompute() {
+	need := make([]int32, len(f.Blocks))
 	for i, b := range f.Blocks {
 		b.ID = i
 		b.preds = b.preds[:0]
+	}
+	for _, b := range f.Blocks {
+		for i, n := 0, b.NumSuccs(); i < n; i++ {
+			if s := b.Succ(i); f.owns(s) {
+				need[s.ID]++
+			}
+		}
+	}
+	short := 0
+	for i, b := range f.Blocks {
+		if n := int(need[i]); n > cap(b.preds) {
+			short += n
+		}
+	}
+	if short > 0 {
+		spare := make([]*Block, short)
+		for i, b := range f.Blocks {
+			if n := int(need[i]); n > cap(b.preds) {
+				b.preds, spare = spare[:0:n], spare[n:]
+			}
+		}
 	}
 	for _, b := range f.Blocks {
 		for i, n := 0, b.NumSuccs(); i < n; i++ {
@@ -42,6 +69,12 @@ func (f *Function) Recompute() {
 			s.preds = append(s.preds, b)
 		}
 	}
+}
+
+// owns reports whether b is one of f's blocks, once Recompute has
+// numbered them.
+func (f *Function) owns(b *Block) bool {
+	return b != nil && b.ID >= 0 && b.ID < len(f.Blocks) && f.Blocks[b.ID] == b
 }
 
 // BlockByName returns the block with the given name, or nil.
@@ -65,19 +98,39 @@ func (f *Function) AddBlock(name string) *Block {
 // FreshBlockName returns a block name with the given prefix that is not yet
 // used in the function.
 func (f *Function) FreshBlockName(prefix string) string {
-	used := make(map[string]bool, len(f.Blocks))
+	return f.BlockNamer().Fresh(prefix)
+}
+
+// BlockNamer hands out block names that are not yet taken: the names of
+// the function it was made from, and every name it has returned. Naming
+// several new blocks through one namer builds the set of taken names once.
+type BlockNamer map[string]bool
+
+// BlockNamer returns a namer over the function's current block names.
+func (f *Function) BlockNamer() BlockNamer {
+	n := make(BlockNamer, len(f.Blocks))
 	for _, b := range f.Blocks {
-		used[b.Name] = true
+		n[b.Name] = true
 	}
-	if !used[prefix] {
-		return prefix
-	}
-	for i := 1; ; i++ {
-		n := fmt.Sprintf("%s%d", prefix, i)
-		if !used[n] {
-			return n
+	return n
+}
+
+// Fresh returns prefix if it is not taken, else prefix followed by the
+// smallest positive integer that makes it so, and marks the name taken.
+func (n BlockNamer) Fresh(prefix string) string {
+	name := prefix
+	if n[name] {
+		buf := []byte(prefix)
+		for i := int64(1); ; i++ {
+			buf = strconv.AppendInt(buf[:len(prefix)], i, 10)
+			if !n[string(buf)] {
+				break
+			}
 		}
+		name = string(buf)
 	}
+	n[name] = true
+	return name
 }
 
 // FreshVarName returns a variable name with the given prefix that is not
@@ -179,18 +232,37 @@ func (f *Function) Clone() *Function {
 	return g
 }
 
-// String renders the function in the textual IR syntax accepted by the
-// textir parser, so printing and parsing round-trip.
-func (f *Function) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "func %s(%s) {\n", f.Name, strings.Join(f.Params, ", "))
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(&b, "%s:\n", blk.Name)
-		for _, in := range blk.Instrs {
-			fmt.Fprintf(&b, "  %s\n", in)
+// AppendText appends the function in the textual IR syntax accepted by
+// the textir parser to dst and returns the extended buffer, so printing
+// and parsing round-trip. The function cache keys on these bytes: a
+// change to any of them is a change of every key.
+func (f *Function) AppendText(dst []byte) []byte {
+	dst = append(append(dst, "func "...), f.Name...)
+	dst = append(dst, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			dst = append(dst, ", "...)
 		}
-		fmt.Fprintf(&b, "  %s\n", blk.Term)
+		dst = append(dst, p...)
 	}
-	b.WriteString("}\n")
-	return b.String()
+	dst = append(dst, ") {\n"...)
+	for _, b := range f.Blocks {
+		dst = append(append(dst, b.Name...), ":\n"...)
+		for i := range b.Instrs {
+			dst = append(appendInstr(append(dst, "  "...), &b.Instrs[i]), '\n')
+		}
+		dst = append(appendTerm(append(dst, "  "...), &b.Term), '\n')
+	}
+	return append(dst, "}\n"...)
+}
+
+// String renders the function as AppendText does.
+func (f *Function) String() string {
+	// Size the buffer for 16 bytes a statement, half again a typical
+	// one, so that the print rarely has to grow it.
+	n := 16 + len(f.Name) + 8*len(f.Params)
+	for _, b := range f.Blocks {
+		n += len(b.Name) + 2 + 16*(len(b.Instrs)+1)
+	}
+	return string(f.AppendText(make([]byte, 0, n)))
 }

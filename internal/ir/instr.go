@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // InstrKind discriminates the elementary statement forms.
 type InstrKind int
@@ -101,19 +104,33 @@ func (in Instr) UsedVars(dst []string) []string {
 	return dst
 }
 
-// String returns the statement's source form.
-func (in Instr) String() string {
+// AppendText appends the statement's source form to dst and returns the
+// extended buffer. A statement of no defined kind prints as
+// "<invalid instr kind N>".
+func (in Instr) AppendText(dst []byte) []byte { return appendInstr(dst, &in) }
+
+// appendInstr is Instr.AppendText on a pointer, which saves printing a
+// block's statements from copying each one.
+func appendInstr(dst []byte, in *Instr) []byte {
 	switch in.Kind {
 	case BinOp:
-		return fmt.Sprintf("%s = %s %s %s", in.Dst, in.A, in.Op, in.B)
+		dst = append(append(dst, in.Dst...), " = "...)
+		return appendBinary(dst, in.A, in.Op, in.B)
 	case Copy:
-		return fmt.Sprintf("%s = %s", in.Dst, in.A)
+		dst = append(append(dst, in.Dst...), " = "...)
+		return in.A.AppendText(dst)
 	case Print:
-		return fmt.Sprintf("print %s", in.A)
+		return in.A.AppendText(append(dst, "print "...))
 	case Nop:
-		return "nop"
+		return append(dst, "nop"...)
 	}
-	return fmt.Sprintf("<invalid instr kind %d>", int(in.Kind))
+	return appendInvalid(dst, "<invalid instr kind ", int(in.Kind))
+}
+
+// String returns the statement's source form.
+func (in Instr) String() string {
+	var buf [64]byte
+	return string(in.AppendText(buf[:0]))
 }
 
 // TermKind discriminates block terminators.
@@ -152,25 +169,45 @@ func (t Terminator) UsedVars(dst []string) []string {
 	return dst
 }
 
-// String returns the terminator's source form.
-func (t Terminator) String() string {
+// AppendText appends the terminator's source form to dst and returns the
+// extended buffer. A missing target prints as "<nil>", a terminator of no
+// defined kind as "<invalid terminator kind N>".
+func (t Terminator) AppendText(dst []byte) []byte { return appendTerm(dst, &t) }
+
+// appendTerm is Terminator.AppendText on a pointer, for the same reason
+// as appendInstr.
+func appendTerm(dst []byte, t *Terminator) []byte {
 	switch t.Kind {
 	case Jump:
-		return fmt.Sprintf("jmp %s", blockName(t.Then))
+		return appendBlockName(append(dst, "jmp "...), t.Then)
 	case Branch:
-		return fmt.Sprintf("br %s %s %s", t.Cond, blockName(t.Then), blockName(t.Else))
+		dst = append(t.Cond.AppendText(append(dst, "br "...)), ' ')
+		dst = append(appendBlockName(dst, t.Then), ' ')
+		return appendBlockName(dst, t.Else)
 	case Ret:
 		if t.HasVal {
-			return fmt.Sprintf("ret %s", t.Val)
+			return t.Val.AppendText(append(dst, "ret "...))
 		}
-		return "ret"
+		return append(dst, "ret"...)
 	}
-	return fmt.Sprintf("<invalid terminator kind %d>", int(t.Kind))
+	return appendInvalid(dst, "<invalid terminator kind ", int(t.Kind))
 }
 
-func blockName(b *Block) string {
+// String returns the terminator's source form.
+func (t Terminator) String() string {
+	var buf [64]byte
+	return string(t.AppendText(buf[:0]))
+}
+
+func appendBlockName(dst []byte, b *Block) []byte {
 	if b == nil {
-		return "<nil>"
+		return append(dst, "<nil>"...)
 	}
-	return b.Name
+	return append(dst, b.Name...)
+}
+
+// appendInvalid appends the form that stands for an undefined kind:
+// prefix, the kind's number, and a closing '>'.
+func appendInvalid(dst []byte, prefix string, kind int) []byte {
+	return append(strconv.AppendInt(append(dst, prefix...), int64(kind), 10), '>')
 }

@@ -350,3 +350,81 @@ func TestTerminatorUsedVars(t *testing.T) {
 		t.Errorf("void ret UsedVars = %v", got)
 	}
 }
+
+// TestBuilderStatementGrowth pins the builder's statement storage to
+// amortized growth: a long block, and two blocks resumed in turn, take a
+// logarithmic number of allocations, not one per statement.
+func TestBuilderStatementGrowth(t *testing.T) {
+	const n = 5000
+	long := func() {
+		bd := NewBuilder("long").Block("a")
+		for i := 0; i < n; i++ {
+			bd.Nop()
+		}
+		bd.RetVoid().MustFinish()
+	}
+	alternating := func() {
+		bd := NewBuilder("alt", "c").Block("a").Nop().Block("b").Nop()
+		for i := 0; i < n; i++ {
+			bd.Block("a").Nop().Block("b").Nop()
+		}
+		f := bd.Block("a").Branch(Var("c"), "b", "b").Block("b").RetVoid().MustFinish()
+		if len(f.Blocks[0].Instrs) != n+1 || len(f.Blocks[1].Instrs) != n+1 {
+			t.Fatalf("blocks hold %d and %d statements, want %d each", len(f.Blocks[0].Instrs), len(f.Blocks[1].Instrs), n+1)
+		}
+	}
+	for name, build := range map[string]func(){"long": long, "alternating": alternating} {
+		if allocs := testing.AllocsPerRun(5, build); allocs > 100 {
+			t.Errorf("%s: %v allocations for %d statements", name, allocs, n)
+		}
+	}
+}
+
+// TestRecomputePredecessors pins what Recompute builds: one entry per
+// edge, in Blocks and successor order; lists that outgrow their backing
+// array still come out right; and a target outside the function gets its
+// entry appended to its own list.
+func TestRecomputePredecessors(t *testing.T) {
+	f := NewBuilder("p", "c").
+		Block("a").Branch(Var("c"), "d", "b").
+		Block("b").Branch(Var("c"), "d", "c").
+		Block("c").Jump("d").
+		Block("d").RetVoid().
+		MustFinish()
+	a, b, c, d := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
+	want := func(blk *Block, preds ...*Block) {
+		t.Helper()
+		got := blk.Preds()
+		if len(got) != len(preds) {
+			t.Fatalf("%s: %d predecessors, want %d", blk.Name, len(got), len(preds))
+		}
+		for i := range got {
+			if got[i] != preds[i] {
+				t.Fatalf("%s: predecessor %d is %s, want %s", blk.Name, i, got[i].Name, preds[i].Name)
+			}
+		}
+	}
+	want(a)
+	want(b, a)
+	want(c, b)
+	want(d, a, b, c)
+
+	// Grow b's list past its backing array and move a block.
+	c.Term = Terminator{Kind: Branch, Cond: Var("c"), Then: b, Else: b}
+	f.Blocks[2], f.Blocks[3] = d, c
+	f.Recompute()
+	want(b, a, c, c)
+	want(d, a, b)
+	if err := Validate(f); err != nil {
+		t.Fatal(err)
+	}
+
+	outside := &Block{Name: "outside", Term: Terminator{Kind: Ret}}
+	d.Term = Terminator{Kind: Jump, Then: outside}
+	f.Recompute()
+	f.Recompute()
+	want(outside, d, d)
+	if err := f.Validate(); err == nil {
+		t.Fatal("jump outside the function validated")
+	}
+}

@@ -8,7 +8,10 @@
 // and local computation predicates derived per statement.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op is a binary operator of a candidate expression.
 type Op int
@@ -35,12 +38,19 @@ var opNames = [...]string{
 	Eq: "==", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">=",
 }
 
+// AppendText appends the operator's source form, e.g. "+", to dst and
+// returns the extended buffer. An undefined operator prints as "op(N)".
+func (o Op) AppendText(dst []byte) []byte {
+	if !o.Valid() {
+		return append(strconv.AppendInt(append(dst, "op("...), int64(o), 10), ')')
+	}
+	return append(dst, opNames[o]...)
+}
+
 // String returns the operator's source form, e.g. "+".
 func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-	return opNames[o]
+	var buf [24]byte
+	return string(o.AppendText(buf[:0]))
 }
 
 // Valid reports whether o is a defined operator.

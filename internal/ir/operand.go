@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Operand is a variable reference or an integer literal.
 type Operand struct {
@@ -33,12 +30,19 @@ func (o Operand) IsConst() bool { return o.Name == "" }
 // Uses reports whether the operand reads variable v.
 func (o Operand) Uses(v string) bool { return o.Name == v }
 
+// AppendText appends the operand's source form to dst and returns the
+// extended buffer.
+func (o Operand) AppendText(dst []byte) []byte {
+	if o.IsVar() {
+		return append(dst, o.Name...)
+	}
+	return strconv.AppendInt(dst, o.Value, 10)
+}
+
 // String returns the operand's source form.
 func (o Operand) String() string {
-	if o.IsVar() {
-		return o.Name
-	}
-	return strconv.FormatInt(o.Value, 10)
+	var buf [24]byte
+	return string(o.AppendText(buf[:0]))
 }
 
 // Expr is a candidate expression: a single binary operator applied to two
@@ -50,9 +54,21 @@ type Expr struct {
 	A, B Operand
 }
 
+// AppendText appends the expression's source form, e.g. "a + b", to dst
+// and returns the extended buffer.
+func (e Expr) AppendText(dst []byte) []byte { return appendBinary(dst, e.A, e.Op, e.B) }
+
+// appendBinary appends "a op b".
+func appendBinary(dst []byte, a Operand, op Op, b Operand) []byte {
+	dst = append(a.AppendText(dst), ' ')
+	dst = append(op.AppendText(dst), ' ')
+	return b.AppendText(dst)
+}
+
 // String returns the expression's source form, e.g. "a + b".
 func (e Expr) String() string {
-	return fmt.Sprintf("%s %s %s", e.A, e.Op, e.B)
+	var buf [64]byte
+	return string(e.AppendText(buf[:0]))
 }
 
 // UsesVar reports whether the expression reads variable v.

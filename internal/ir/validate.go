@@ -17,7 +17,6 @@ func (f *Function) Validate() error {
 		return fmt.Errorf("ir: function %s has no blocks", f.Name)
 	}
 	names := make(map[string]bool, len(f.Blocks))
-	inFunc := make(map[*Block]bool, len(f.Blocks))
 	for i, b := range f.Blocks {
 		if b == nil {
 			return fmt.Errorf("ir: function %s has nil block at %d", f.Name, i)
@@ -32,7 +31,6 @@ func (f *Function) Validate() error {
 		if b.ID != i {
 			return fmt.Errorf("ir: function %s block %q has stale ID %d (want %d); call Recompute", f.Name, b.Name, b.ID, i)
 		}
-		inFunc[b] = true
 	}
 	for _, p := range f.Params {
 		if p == "" {
@@ -40,18 +38,19 @@ func (f *Function) Validate() error {
 		}
 	}
 	for _, b := range f.Blocks {
-		for j, in := range b.Instrs {
-			if err := validateInstr(in); err != nil {
+		for j := range b.Instrs {
+			if err := validateInstr(&b.Instrs[j]); err != nil {
 				return fmt.Errorf("ir: %s.%s[%d]: %w", f.Name, b.Name, j, err)
 			}
 		}
+		// The IDs are dense now, so f.owns is membership in Blocks.
 		switch b.Term.Kind {
 		case Jump:
-			if !inFunc[b.Term.Then] {
+			if !f.owns(b.Term.Then) {
 				return fmt.Errorf("ir: %s.%s jumps outside function", f.Name, b.Name)
 			}
 		case Branch:
-			if !inFunc[b.Term.Then] || !inFunc[b.Term.Else] {
+			if !f.owns(b.Term.Then) || !f.owns(b.Term.Else) {
 				return fmt.Errorf("ir: %s.%s branches outside function", f.Name, b.Name)
 			}
 		case Ret:
@@ -158,7 +157,7 @@ func Validate(f *Function) error {
 	return nil
 }
 
-func validateInstr(in Instr) error {
+func validateInstr(in *Instr) error {
 	switch in.Kind {
 	case BinOp:
 		if in.Dst == "" {

@@ -408,9 +408,8 @@ func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, verify bool) 
 // most the loose split that counts a module's functions.
 func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Request, req optimizeRequest, v view, start time.Time) (*jobState, overload.Level) {
 	lvl := s.observe()
-	seed := overload.Seed(req.Program, req.Mode)
 	if s.draining.Load() {
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining", start, lvl, seed)
+		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining", start, lvl, req.seed())
 		return nil, lvl
 	}
 	fuel, verify := s.optionsFor(req, lvl)
@@ -446,7 +445,7 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 			return js, lvl
 		}
 		if s.journalDegraded() {
-			s.rejectDegradedJournal(w, start, lvl, seed)
+			s.rejectDegradedJournal(w, start, lvl, req.seed())
 			return nil, lvl
 		}
 	}
@@ -497,7 +496,7 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 			}
 		}
 		s.shed.Add(int64(n))
-		s.reject(w, http.StatusTooManyRequests, "overload", refusal, start, lvl, seed)
+		s.reject(w, http.StatusTooManyRequests, "overload", refusal, start, lvl, req.seed())
 		return nil, lvl
 	}
 	if hdr.Funcs == nil {

@@ -364,6 +364,10 @@ type optimizeRequest struct {
 	Canonical bool `json:"canonical,omitempty"`
 }
 
+// seed is the request's retry-hint seed. It hashes the whole program, so
+// only a refusal computes it.
+func (r optimizeRequest) seed() uint64 { return overload.Seed(r.Program, r.Mode) }
+
 // optimizeResponse is the JSON body of every /optimize outcome. On
 // success Program holds the optimized source; on fallback or cancellation
 // it holds the last-known-good source (ultimately the validated input) —

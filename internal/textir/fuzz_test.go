@@ -2,6 +2,7 @@ package textir
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,4 +113,71 @@ func FuzzGeneratedPrograms(f *testing.F) {
 			t.Fatalf("seed %d round trip unstable", seed)
 		}
 	})
+}
+
+// FuzzParseEquiv holds the parsers to the references they replaced (see
+// reference_test.go): on any input, Parse must fail with the reference's
+// exact error, line number included, or yield functions that print the
+// same; ParseModule must fail the same way or split the same module.
+func FuzzParseEquiv(f *testing.F) {
+	for _, src := range []string{
+		"func f(a) {\r\ne:\r\n  x = a + 1\r\n  ret x\r\n}\r\n",
+		"func f(a) {\ne:\n\tx\v=\fa\t+\r1\n  ret\tx\n}",
+		"func f(a) {\ne:\n  x = a\u0085+ 1\n  ret x\n}",
+		"func f(a) {\ne:\n  x\u00a0=\u00a0a + 1\n  ret x\n}",
+		"\u00a0func f() {\u0085\ne:\u00a0\n  ret\n}\u0085",
+		"func f(a) {\ne:\n  x = a + 1 + 2\n  ret x\n}",
+		"func f(a) {\ne:\n  print a a a a a a a\n  ret x y z w v u\n}",
+		"func f() {\ne:\n  br a b c d e f g h\n}",
+		"func f(c) {\na:\n  br c b d\nb:\n  jmp nowhere\nd:\n  jmp elsewhere\n}",
+		"func f() {\ne:\n  ret # done\n}\n# tail\n\n",
+		"func f() {\ne:\n  ret",
+		"}\nfunc f() {\n",
+		"func f() {\n  nop\ne:\n  ret\n}\nfunc g() {\n",
+		"func f() {\ne:\n  ret\n  nop\n}",
+	} {
+		f.Add(src)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(randprog.ForSeed(seed).String())
+	}
+	for _, seed := range corpusSeeds(f) {
+		f.Add(seed.Src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fns, err := Parse(src)
+		want, werr := refParse(src)
+		if !sameError(err, werr) {
+			t.Fatalf("Parse(%q) error %v, reference %v", src, err, werr)
+		}
+		if err == nil {
+			if got, want := PrintFunctions(fns), PrintFunctions(want); got != want {
+				t.Fatalf("Parse(%q) printed\n%s\nreference\n%s", src, got, want)
+			}
+		}
+		m, err := ParseModule(src)
+		wm, werr := refParseModule(src)
+		if !sameError(err, werr) {
+			t.Fatalf("ParseModule(%q) error %v, reference %v", src, err, werr)
+		}
+		if err == nil {
+			if got, want := m.String(), wm.String(); got != want {
+				t.Fatalf("ParseModule(%q) printed\n%s\nreference\n%s", src, got, want)
+			}
+			for i := range m.Funcs {
+				if m.Funcs[i].Name != wm.Funcs[i].Name {
+					t.Fatalf("ParseModule(%q) function %d named %q, reference %q", src, i, m.Funcs[i].Name, wm.Funcs[i].Name)
+				}
+			}
+		}
+	})
+}
+
+// sameError reports whether two errors are both nil, or of one type with
+// one message.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return fmt.Sprintf("%T %v", a, a) == fmt.Sprintf("%T %v", b, b)
 }

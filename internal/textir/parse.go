@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"lazycm/internal/ir"
 )
@@ -37,30 +38,89 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("textir: line %d: %s", e.Line, e.Msg)
 }
 
-type parser struct {
-	lines []string
-	pos   int // index of next line
+// maxFields is the most fields a statement has: "x = a + b".
+const maxFields = 5
+
+// lineScanner walks a source line by line under the lexical rules the
+// strict parser and the loose split share. '#' starts a comment that runs
+// to end of line, surrounding whitespace is trimmed, and lines left empty
+// are skipped. Lines are counted from 1 at each '\n', so a source with k
+// newlines has k+1 lines.
+type lineScanner struct {
+	src string
+	off int // byte offset of the next line
+	eof bool
+	// num is the number of the current line; at end of input, the
+	// number of lines.
+	num int
+	// text is the current line without its comment and surrounding
+	// whitespace; it is empty at end of input.
+	text   string
+	fields [maxFields]string
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.pos, Msg: fmt.Sprintf(format, args...)}
-}
-
-// next returns the next non-empty, comment-stripped line, trimmed, or ""
-// at end of input.
-func (p *parser) next() string {
-	for p.pos < len(p.lines) {
-		line := p.lines[p.pos]
-		p.pos++
+// next advances to the next line that holds more than a comment and
+// reports whether there is one.
+func (s *lineScanner) next() bool {
+	for !s.eof {
+		line := s.src[s.off:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+			s.off += i + 1
+		} else {
+			s.off, s.eof = len(s.src), true
+		}
+		s.num++
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line != "" {
-			return line
+		if s.text = strings.TrimSpace(line); s.text != "" {
+			return true
 		}
 	}
-	return ""
+	s.text = ""
+	return false
+}
+
+// split returns the current line's whitespace-separated fields, as
+// strings.Fields would. An ASCII line of at most maxFields fields splits
+// into the scanner's own array, valid until the next call; any other line
+// is left to strings.Fields, which applies Unicode's whitespace rules.
+func (s *lineScanner) split() []string {
+	line, n := s.text, 0
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		for i < len(line) && !asciiSpace(line[i]) {
+			if line[i] >= utf8.RuneSelf {
+				return strings.Fields(line)
+			}
+			i++
+		}
+		if n == maxFields {
+			return strings.Fields(line)
+		}
+		s.fields[n] = line[start:i]
+		n++
+	}
+	return s.fields[:n]
+}
+
+// asciiSpace reports whether c is one of the ASCII bytes strings.Fields
+// splits at: ' ', or '\t' through '\r'.
+func asciiSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+type parser struct {
+	lineScanner
+}
+
+func (p *parser) errf(format string, args ...any) error {
+	return &ParseError{Line: p.num, Msg: fmt.Sprintf(format, args...)}
 }
 
 // ParseFunction parses a single function from src.
@@ -77,14 +137,10 @@ func ParseFunction(src string) (*ir.Function, error) {
 
 // Parse parses all functions in src.
 func Parse(src string) ([]*ir.Function, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	p := &parser{lineScanner{src: src}}
 	var fns []*ir.Function
-	for {
-		line := p.next()
-		if line == "" {
-			break
-		}
-		fn, err := p.function(line)
+	for p.next() {
+		fn, err := p.function(p.text)
 		if err != nil {
 			return nil, err
 		}
@@ -127,10 +183,10 @@ func (p *parser) function(header string) (*ir.Function, error) {
 	bd := ir.NewBuilder(name, params...)
 	sawBlock := false
 	for {
-		line := p.next()
-		if line == "" {
+		if !p.next() {
 			return nil, p.errf("unexpected end of input in function %q", name)
 		}
+		line := p.text
 		if line == "}" {
 			break
 		}
@@ -150,7 +206,7 @@ func (p *parser) function(header string) (*ir.Function, error) {
 }
 
 func (p *parser) statement(bd *ir.Builder, line string) error {
-	fields := strings.Fields(line)
+	fields := p.split()
 	switch fields[0] {
 	case "jmp":
 		if len(fields) != 2 || !isIdent(fields[1]) {
@@ -257,12 +313,12 @@ func isIdent(s string) bool {
 	case "func", "jmp", "br", "ret", "print", "nop":
 		return false
 	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case i > 0 && (r >= '0' && r <= '9' || r == '.'):
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
+		case i > 0 && (c >= '0' && c <= '9' || c == '.'):
 		default:
-			return false
+			return false // a byte of a multi-byte rune lands here too
 		}
 	}
 	return true

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lazycm/internal/ir"
+	"lazycm/internal/randprog"
 )
 
 const diamondSrc = `
@@ -212,5 +213,108 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	src := "  # leading comment\n\nfunc f() {   # trailing\ne:\n\n   ret   # done\n}\n#tail"
 	if _, err := ParseFunction(src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseReportsFirstUndefinedTarget(t *testing.T) {
+	src := "func f(c) {\na:\n  br c b d\nb:\n  jmp nowhere\nd:\n  jmp elsewhere\n}"
+	const want = `builder f: block "b" jumps to undefined block "nowhere"`
+	for i := 0; i < 100; i++ {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
+// mediumModule is an eight-function module of the service benchmark's
+// medium shape: the first functions, by seed, with 300 to 1030
+// statements.
+func mediumModule() string {
+	c := randprog.Default(0)
+	c.MaxDepth, c.MaxItems, c.MaxStmts, c.Vars, c.Params = 4, 4, 6, 10, 4
+	var fns []*ir.Function
+	for c.Seed = 1; len(fns) < 8; c.Seed++ {
+		f := randprog.Generate(c)
+		if n := f.NumInstrs() + f.NumBlocks(); n >= 300 && n <= 1030 {
+			fns = append(fns, f)
+		}
+	}
+	return PrintFunctions(fns)
+}
+
+func TestParseAllocations(t *testing.T) {
+	src := mediumModule()
+	fns, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for _, f := range fns {
+		blocks += f.NumBlocks()
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d functions, %d blocks: %.0f allocations, %.2f per block", len(fns), blocks, n, n/float64(blocks))
+	if n > 2*float64(blocks) {
+		t.Errorf("Parse: %.0f allocations for %d blocks, want at most 2 per block", n, blocks)
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	src := mediumModule()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseModule(b *testing.B) {
+	src := mediumModule()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseModule(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPrint(b *testing.B) {
+	fns, err := Parse(mediumModule())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, f := range fns {
+			_ = f.String()
+		}
+	}
+}
+
+// BenchmarkUnitBuild is the server's batch and stream unit build: the
+// loose split, then for each function its re-print, strict parse and
+// canonical print.
+func BenchmarkUnitBuild(b *testing.B) {
+	src := mediumModule()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := ParseModule(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fd := range m.Funcs {
+			f, err := ParseFunction(fd.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = f.String()
+		}
 	}
 }

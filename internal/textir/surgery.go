@@ -53,18 +53,13 @@ func ParseModule(src string) (*Module, error) {
 	m := &Module{}
 	var fn *FuncDoc
 	var blk *BlockDoc
-	for num, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+	lines := lineScanner{src: src}
+	for lines.next() {
+		line, num := lines.text, lines.num
 		switch {
-		case line == "":
-			continue
 		case strings.HasPrefix(line, "func ") && strings.HasSuffix(line, "{"):
 			if fn != nil {
-				return nil, fmt.Errorf("textir: line %d: function %q not closed before next function", num+1, fn.Name)
+				return nil, fmt.Errorf("textir: line %d: function %q not closed before next function", num, fn.Name)
 			}
 			name := strings.TrimPrefix(line, "func ")
 			if i := strings.IndexByte(name, '('); i >= 0 {
@@ -74,12 +69,12 @@ func ParseModule(src string) (*Module, error) {
 			blk = nil
 		case line == "}":
 			if fn == nil {
-				return nil, fmt.Errorf("textir: line %d: unmatched '}'", num+1)
+				return nil, fmt.Errorf("textir: line %d: unmatched '}'", num)
 			}
 			m.Funcs = append(m.Funcs, fn)
 			fn, blk = nil, nil
 		case fn == nil:
-			return nil, fmt.Errorf("textir: line %d: statement %q outside any function", num+1, line)
+			return nil, fmt.Errorf("textir: line %d: statement %q outside any function", num, line)
 		default:
 			if label, ok := strings.CutSuffix(line, ":"); ok && isIdent(label) {
 				blk = &BlockDoc{Label: label}
