@@ -114,31 +114,16 @@ type backend struct {
 	degrade   atomic.Int32 // degrade_level from the last readiness probe
 
 	// probeDecodeErrors counts probes whose /readyz body did not decode
-	// (garbled, or cut by the read limit); the gauges below then keep
-	// their last good values.
+	// (garbled, or cut by the read limit); gauges then keeps the last
+	// good snapshot.
 	probeDecodeErrors atomic.Int64
 
-	// Job and cache gauges harvested from the backend's last readiness
-	// probe — the fleet view of its resumable-job and per-function-cache
-	// health, surfaced verbatim on the gateway's /healthz.
-	jobsActive    atomic.Int64
-	jobsResumed   atomic.Int64
-	jobsExpired   atomic.Int64
-	streamClients atomic.Int64
-	fnCacheHits   atomic.Int64
-	fnCacheMisses atomic.Int64
-
-	// Hostile-storage state harvested from the probe: whether the
-	// backend has quarantined its disk tier (and is refusing new
-	// journaled jobs), how many times it has flipped, and the per-class
-	// fault totals its health tracker has seen.
-	diskDisabled     atomic.Bool
-	journalDegraded  atomic.Bool
-	diskTransitions  atomic.Int64
-	diskFaultsWrite  atomic.Int64
-	diskFaultsRead   atomic.Int64
-	diskFaultsSync   atomic.Int64
-	diskFaultsRename atomic.Int64
+	// gauges is the backend's last decoded /readyz body minus the keys
+	// the gateway acts on (ready, draining, degrade_level). The gateway
+	// never acts on a gauge, so it names none: it reports the snapshot
+	// per backend and folds it into the fleet view as it is. nil until a
+	// probe decodes; a stored map is never written again.
+	gauges atomic.Pointer[map[string]any]
 
 	// gone closes when the backend leaves the fleet, stopping its
 	// health loop without touching the gateway-wide stop channel.
@@ -199,10 +184,9 @@ type call struct {
 // proxyResult is one routed outcome: the backend's response verbatim,
 // or a gateway-generated rejection.
 type proxyResult struct {
-	status  int
-	header  http.Header // Content-Type and Retry-After only
-	body    []byte
-	backend string // serving backend; "" for gateway-generated results
+	status int
+	header http.Header // Content-Type and Retry-After only
+	body   []byte
 }
 
 // NewGateway builds the router and starts its health pollers.
@@ -432,11 +416,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := res.header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
+	passHeaders(res.header, w.Header())
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
@@ -452,7 +432,7 @@ func (g *Gateway) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
 	key, _ := requestKey(r.URL.Path, nil)
-	writeProxyResult(w, g.route(ctx, http.MethodGet, r.URL.Path, nil, key))
+	writeProxyResult(w, g.route(ctx, nil, http.MethodGet, r.URL.Path, nil, key))
 }
 
 // handleStreamProxy proxies POST /optimize/stream and GET
@@ -484,169 +464,8 @@ func (g *Gateway) handleStreamProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.StreamTimeout)
 	defer cancel()
 	key, _ := requestKey(r.URL.Path, body)
-	g.streamRoute(ctx, w, r.Method, path, body, key)
-}
-
-// streamRoute is route for unbuffered streams: the same two-pass replica
-// walk, the same breaker and 404 semantics, but a successful attempt
-// writes directly to the client instead of returning buffered bytes.
-func (g *Gateway) streamRoute(ctx context.Context, w http.ResponseWriter, method, path string, body []byte, key uint64) {
-	prefs, members := g.replicaOrder(key)
-	tried := make(map[string]bool, len(prefs))
-	lastFailure := "no backend attempted"
-	var notFound *proxyResult
-	for pass := 0; pass < 2; pass++ {
-		for _, b := range prefs {
-			id := b.id
-			if ctx.Err() != nil {
-				writeProxyResult(w, g.shedResult(key, fmt.Sprintf("request budget exhausted during failover: %v", ctx.Err())))
-				return
-			}
-			if tried[id] {
-				continue
-			}
-			if pass == 0 {
-				if !b.ready.Load() || b.degrade.Load() >= int32(overload.LevelShed) {
-					g.logf("skip key=%016x backend=%s reason=not-ready degrade=%d", key, id, b.degrade.Load())
-					continue
-				}
-				if !fleet.WithinBound(b.inflight.Load(), g.totalInflight.Load(), members, g.cfg.LoadFactor) {
-					g.logf("skip key=%016x backend=%s reason=over-bound inflight=%d", key, id, b.inflight.Load())
-					continue
-				}
-			}
-			if !b.breaker.Allow() {
-				g.logf("skip key=%016x backend=%s reason=breaker-open", key, id)
-				continue
-			}
-			tried[id] = true
-			res, streamed, err := g.streamAttempt(ctx, w, b, method, path, body, key)
-			if streamed {
-				return
-			}
-			if err == nil {
-				if method == http.MethodGet && res.status == http.StatusNotFound {
-					notFound = res
-					g.logf("job-miss key=%016x backend=%s", key, id)
-					continue
-				}
-				writeProxyResult(w, res)
-				return
-			}
-			lastFailure = err.Error()
-			g.failovers.Add(1)
-			g.logf("failover key=%016x backend=%s err=%q", key, id, err)
-		}
-	}
-	if notFound != nil {
-		writeProxyResult(w, notFound)
-		return
-	}
-	writeProxyResult(w, g.shedResult(key, lastFailure))
-}
-
-// streamAttempt opens one backend stream. The attempt timeout bounds
-// only the wait for response headers; an answered stream then runs under
-// the caller's stream budget. Returns streamed=true once any part of the
-// response (including just the 200 header) has reached the client —
-// after which no failover is possible and the attempt owns the response.
-// Non-200 answers are small JSON rejections: they are buffered and
-// classified exactly like the buffered path, so breakers and failover
-// see the same world regardless of endpoint shape.
-func (g *Gateway) streamAttempt(ctx context.Context, w http.ResponseWriter, b *backend, method, path string, body []byte, key uint64) (*proxyResult, bool, error) {
-	b.routed.Add(1)
-	b.inflight.Add(1)
-	g.totalInflight.Add(1)
-	defer func() {
-		b.inflight.Add(-1)
-		g.totalInflight.Add(-1)
-	}()
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(actx, method, b.id+path, rd)
-	if err != nil {
-		return nil, false, fmt.Errorf("building request for %s: %w", b.id, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Bound only the header wait: a backend that does not answer within
-	// the attempt timeout is failed over, but once headers arrive the
-	// timer is disarmed and the stream lives on the caller's budget.
-	hdrTimer := time.AfterFunc(g.cfg.AttemptTimeout, cancel)
-	resp, err := g.client.Do(req)
-	hdrTimer.Stop()
-	if err != nil {
-		b.failed.Add(1)
-		b.breaker.Record(false)
-		return nil, false, fmt.Errorf("backend %s: %w", b.id, err)
-	}
-	defer resp.Body.Close()
-
-	if resp.StatusCode != http.StatusOK {
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRespBody))
-		if rerr != nil {
-			b.failed.Add(1)
-			b.breaker.Record(false)
-			return nil, false, fmt.Errorf("backend %s: reading response: %w", b.id, rerr)
-		}
-		if resp.StatusCode >= 500 && resp.StatusCode != http.StatusGatewayTimeout {
-			b.failed.Add(1)
-			b.breaker.Record(false)
-			return nil, false, fmt.Errorf("backend %s answered %d", b.id, resp.StatusCode)
-		}
-		b.succeeded.Add(1)
-		b.breaker.Record(true)
-		hdr := make(http.Header, 2)
-		for _, k := range []string{"Content-Type", "Retry-After"} {
-			if v := resp.Header.Get(k); v != "" {
-				hdr.Set(k, v)
-			}
-		}
-		return &proxyResult{status: resp.StatusCode, header: hdr, body: raw, backend: b.id}, false, nil
-	}
-
-	b.succeeded.Add(1)
-	b.breaker.Record(true)
-	g.streams.Add(1)
-	g.logf("stream key=%016x backend=%s", key, b.id)
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	var sent int64
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			sent += int64(n)
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				g.logf("stream key=%016x backend=%s client-gone bytes=%d", key, b.id, sent)
-				return nil, true, nil
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				// Mid-stream loss of the backend: the client has a valid
-				// prefix and resumes by job ID. Nothing is fabricated to
-				// paper over the cut.
-				g.logf("stream key=%016x backend=%s cut bytes=%d err=%q", key, b.id, sent, rerr)
-			} else {
-				g.logf("stream key=%016x backend=%s done bytes=%d", key, b.id, sent)
-			}
-			return nil, true, nil
-		}
+	if res := g.route(ctx, w, r.Method, path, body, key); res != nil {
+		writeProxyResult(w, res)
 	}
 }
 
@@ -675,7 +494,7 @@ func (g *Gateway) deduped(ctx context.Context, path string, body []byte, ringKey
 	g.flight[flightKey] = c
 	g.flightMu.Unlock()
 
-	c.res = g.route(ctx, http.MethodPost, path, body, ringKey)
+	c.res = g.route(ctx, nil, http.MethodPost, path, body, ringKey)
 
 	g.flightMu.Lock()
 	delete(g.flight, flightKey)
@@ -690,8 +509,10 @@ func (g *Gateway) deduped(ctx context.Context, path string, body []byte, ringKey
 // second is the last resort — any backend whose breaker admits — so a
 // uniformly degraded fleet still gets to say its own explicit 429/503
 // rather than having the gateway guess. If nothing answers, the gateway
-// sheds with its own 503 + Retry-After.
-func (g *Gateway) route(ctx context.Context, method, path string, body []byte, key uint64) *proxyResult {
+// sheds with its own 503 + Retry-After. With a non-nil w the walk
+// serves a stream: a 200 is copied to w as it arrives and route returns
+// nil; every other answer comes back buffered, as it does for a nil w.
+func (g *Gateway) route(ctx context.Context, w http.ResponseWriter, method, path string, body []byte, key uint64) *proxyResult {
 	prefs, members := g.replicaOrder(key)
 	tried := make(map[string]bool, len(prefs))
 	lastFailure := "no backend attempted"
@@ -720,8 +541,11 @@ func (g *Gateway) route(ctx context.Context, method, path string, body []byte, k
 				continue
 			}
 			tried[id] = true
-			res, err := g.attempt(ctx, b, method, path, body, key)
+			res, err := g.attempt(ctx, w, b, method, path, body, key)
 			if err == nil {
+				if res == nil {
+					return nil // streamed to w
+				}
 				// A job lives only on the backend that admitted it, so a GET
 				// 404 is one replica saying "not mine" — keep walking and
 				// return this answer only if every replica agrees.
@@ -765,10 +589,12 @@ func (g *Gateway) replicaOrder(key uint64) ([]*backend, int) {
 // for its breaker: transport errors and 5xx are failures the router
 // moves past (a 503 means draining or shedding everything — the next
 // replica may well serve); any other answer — 200, 429, 4xx, and 504 —
-// proves the backend alive and is passed to the client verbatim.
-func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, body []byte, key uint64) (*proxyResult, error) {
-	actx, cancel := context.WithTimeout(ctx, g.cfg.AttemptTimeout)
-	defer cancel()
+// proves the backend alive and is passed to the client verbatim. With a
+// nil w the attempt, body read included, runs under the attempt
+// timeout. With a non-nil w the timeout bounds only the wait for
+// headers, and a 200 is streamed to w under the caller's budget, after
+// which attempt returns (nil, nil) and no failover is possible.
+func (g *Gateway) attempt(ctx context.Context, w http.ResponseWriter, b *backend, method, path string, body []byte, key uint64) (*proxyResult, error) {
 	b.routed.Add(1)
 	b.inflight.Add(1)
 	g.totalInflight.Add(1)
@@ -777,6 +603,18 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 		g.totalInflight.Add(-1)
 	}()
 
+	var (
+		actx     context.Context
+		cancel   context.CancelFunc
+		hdrTimer *time.Timer
+	)
+	if w == nil {
+		actx, cancel = context.WithTimeout(ctx, g.cfg.AttemptTimeout)
+	} else {
+		actx, cancel = context.WithCancel(ctx)
+		hdrTimer = time.AfterFunc(g.cfg.AttemptTimeout, cancel)
+	}
+	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -789,12 +627,21 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := g.client.Do(req)
+	if hdrTimer != nil {
+		hdrTimer.Stop()
+	}
 	if err != nil {
 		b.failed.Add(1)
 		b.breaker.Record(false)
 		return nil, fmt.Errorf("backend %s: %w", b.id, err)
 	}
 	defer resp.Body.Close()
+	if w != nil && resp.StatusCode == http.StatusOK {
+		b.succeeded.Add(1)
+		b.breaker.Record(true)
+		g.stream(w, resp, b.id, key)
+		return nil, nil
+	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBody))
 	if err != nil {
 		b.failed.Add(1)
@@ -811,13 +658,55 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, path string, 
 	b.succeeded.Add(1)
 	b.breaker.Record(true)
 	g.logf("serve key=%016x backend=%s status=%d bytes=%d", key, b.id, resp.StatusCode, len(raw))
-	hdr := make(http.Header, 2)
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			hdr.Set(k, v)
+	return &proxyResult{status: resp.StatusCode, header: passHeaders(resp.Header, make(http.Header, 2)), body: raw}, nil
+}
+
+// stream copies an answered backend stream to the client chunk by
+// chunk, flushing after each, so records and heartbeats arrive as the
+// backend emits them.
+func (g *Gateway) stream(w http.ResponseWriter, resp *http.Response, id string, key uint64) {
+	g.streams.Add(1)
+	g.logf("stream key=%016x backend=%s", key, id)
+	passHeaders(resp.Header, w.Header())
+	w.WriteHeader(http.StatusOK)
+	fl, _ := w.(http.Flusher)
+	buf := make([]byte, 32<<10)
+	var sent int64
+	for {
+		n, rerr := resp.Body.Read(buf)
+		if n > 0 {
+			sent += int64(n)
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				g.logf("stream key=%016x backend=%s client-gone bytes=%d", key, id, sent)
+				return
+			}
+			if fl != nil {
+				fl.Flush()
+			}
+		}
+		if rerr != nil {
+			if rerr != io.EOF {
+				// Mid-stream loss of the backend: the client has a valid
+				// prefix and resumes by job ID. Nothing is fabricated to
+				// paper over the cut.
+				g.logf("stream key=%016x backend=%s cut bytes=%d err=%q", key, id, sent, rerr)
+			} else {
+				g.logf("stream key=%016x backend=%s done bytes=%d", key, id, sent)
+			}
+			return
 		}
 	}
-	return &proxyResult{status: resp.StatusCode, header: hdr, body: raw, backend: b.id}, nil
+}
+
+// passHeaders copies the two backend headers a client may act on into
+// dst and returns it.
+func passHeaders(src, dst http.Header) http.Header {
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := src.Get(k); v != "" {
+			dst.Set(k, v)
+		}
+	}
+	return dst
 }
 
 // shedResult is the gateway's own 503: every replica was down, open, or
@@ -889,106 +778,85 @@ func (g *Gateway) probe(b *backend) {
 		return
 	}
 	defer resp.Body.Close()
-	var status struct {
-		Ready            bool  `json:"ready"`
-		DegradeLevel     int   `json:"degrade_level"`
-		JobsActive       int64 `json:"jobs_active"`
-		JobsResumed      int64 `json:"jobs_resumed"`
-		JobsExpired      int64 `json:"jobs_expired"`
-		StreamClients    int64 `json:"stream_clients"`
-		FnCacheHits      int64 `json:"fn_cache_hits"`
-		FnCacheMisses    int64 `json:"fn_cache_misses"`
-		DiskDisabled     bool  `json:"disk_disabled"`
-		DiskTransitions  int64 `json:"disk_disable_transitions"`
-		JournalDegraded  bool  `json:"journal_degraded"`
-		DiskFaultsWrite  int64 `json:"disk_faults_write"`
-		DiskFaultsRead   int64 `json:"disk_faults_read"`
-		DiskFaultsSync   int64 `json:"disk_faults_sync"`
-		DiskFaultsRename int64 `json:"disk_faults_rename"`
+	// UseNumber keeps each gauge as the backend wrote it, so the
+	// per-backend view passes numbers through unrounded.
+	dec := json.NewDecoder(io.LimitReader(resp.Body, fleet.MaxReadyzBytes))
+	dec.UseNumber()
+	var gauges map[string]any
+	derr := dec.Decode(&gauges)
+	var lvl int64
+	if derr == nil && gauges["degrade_level"] != nil {
+		n, _ := gauges["degrade_level"].(json.Number)
+		lvl, derr = n.Int64()
 	}
-	derr := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&status)
 	b.ready.Store(resp.StatusCode == http.StatusOK)
 	b.breaker.Record(true)
 	if derr != nil {
 		// The backend answered, so readiness and the breaker follow the
 		// status code; a body that does not decode says nothing about
-		// the gauges, so they keep their last good values instead of
-		// zeroing this backend's share of the fleet view.
+		// the gauges, so the last good snapshot stays instead of zeroing
+		// this backend's share of the fleet view.
 		b.probeDecodeErrors.Add(1)
 		g.logf("probe backend=%s status=%d decode_err=%q", b.id, resp.StatusCode, derr)
 		return
 	}
-	b.degrade.Store(int32(status.DegradeLevel))
-	b.jobsActive.Store(status.JobsActive)
-	b.jobsResumed.Store(status.JobsResumed)
-	b.jobsExpired.Store(status.JobsExpired)
-	b.streamClients.Store(status.StreamClients)
-	b.fnCacheHits.Store(status.FnCacheHits)
-	b.fnCacheMisses.Store(status.FnCacheMisses)
-	b.diskDisabled.Store(status.DiskDisabled)
-	b.journalDegraded.Store(status.JournalDegraded)
-	b.diskTransitions.Store(status.DiskTransitions)
-	b.diskFaultsWrite.Store(status.DiskFaultsWrite)
-	b.diskFaultsRead.Store(status.DiskFaultsRead)
-	b.diskFaultsSync.Store(status.DiskFaultsSync)
-	b.diskFaultsRename.Store(status.DiskFaultsRename)
-	g.logf("probe backend=%s status=%d ready=%v degrade=%d", b.id, resp.StatusCode, resp.StatusCode == http.StatusOK, status.DegradeLevel)
+	b.degrade.Store(int32(lvl))
+	for _, k := range []string{"ready", "draining", "degrade_level"} {
+		delete(gauges, k)
+	}
+	b.gauges.Store(&gauges)
+	g.logf("probe backend=%s status=%d ready=%v degrade=%d", b.id, resp.StatusCode, resp.StatusCode == http.StatusOK, lvl)
 }
 
+// handleHealthz reports the gateway's counters and, per backend, the
+// gateway's own fields for that backend plus its last gauge snapshot;
+// on a name clash the gateway's field wins and the gauge is dropped.
+// The fleet block folds the snapshots: a number sums under its own
+// name, and a flag counts its true backends as <name>_backends (0 once
+// any backend reports it). A backend whose probes have not yet decoded
+// contributes no gauges.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.mu.RLock()
 	bk := make(map[string]any, len(g.ids))
-	// Present even at zero, so a fleet watcher reads "no disk trouble"
-	// rather than "field missing".
-	fleetJobs := map[string]int64{
-		"disk_disabled_backends":    0,
-		"journal_degraded_backends": 0,
-	}
+	// Sums are float64, exact for every count below 2^53, and encode
+	// integral values without a decimal point.
+	fleetView := map[string]float64{}
 	for _, id := range g.ids {
 		b := g.backends[id]
-		bk[id] = map[string]any{
-			"breaker":                  b.breaker.State().String(),
-			"breaker_opened":           b.breaker.Opened(),
-			"ready":                    b.ready.Load(),
-			"degrade_level":            b.degrade.Load(),
-			"inflight":                 b.inflight.Load(),
-			"routed":                   b.routed.Load(),
-			"succeeded":                b.succeeded.Load(),
-			"failed":                   b.failed.Load(),
-			"probes":                   b.probes.Load(),
-			"probe_decode_errors":      b.probeDecodeErrors.Load(),
-			"jobs_active":              b.jobsActive.Load(),
-			"jobs_resumed":             b.jobsResumed.Load(),
-			"jobs_expired":             b.jobsExpired.Load(),
-			"stream_clients":           b.streamClients.Load(),
-			"fn_cache_hits":            b.fnCacheHits.Load(),
-			"fn_cache_misses":          b.fnCacheMisses.Load(),
-			"disk_disabled":            b.diskDisabled.Load(),
-			"journal_degraded":         b.journalDegraded.Load(),
-			"disk_disable_transitions": b.diskTransitions.Load(),
-			"disk_faults_write":        b.diskFaultsWrite.Load(),
-			"disk_faults_read":         b.diskFaultsRead.Load(),
-			"disk_faults_sync":         b.diskFaultsSync.Load(),
-			"disk_faults_rename":       b.diskFaultsRename.Load(),
+		entry := map[string]any{
+			"breaker":             b.breaker.State().String(),
+			"breaker_opened":      b.breaker.Opened(),
+			"ready":               b.ready.Load(),
+			"degrade_level":       b.degrade.Load(),
+			"inflight":            b.inflight.Load(),
+			"routed":              b.routed.Load(),
+			"succeeded":           b.succeeded.Load(),
+			"failed":              b.failed.Load(),
+			"probes":              b.probes.Load(),
+			"probe_decode_errors": b.probeDecodeErrors.Load(),
 		}
-		if b.diskDisabled.Load() {
-			fleetJobs["disk_disabled_backends"]++
+		if snap := b.gauges.Load(); snap != nil {
+			for k, v := range *snap {
+				if _, own := entry[k]; own {
+					continue
+				}
+				entry[k] = v
+				switch v := v.(type) {
+				case json.Number:
+					if f, err := v.Float64(); err == nil {
+						fleetView[k] += f
+					}
+				case bool:
+					n := fleetView[k+"_backends"]
+					if v {
+						n++
+					}
+					fleetView[k+"_backends"] = n
+				}
+			}
 		}
-		if b.journalDegraded.Load() {
-			fleetJobs["journal_degraded_backends"]++
-		}
-		fleetJobs["disk_disable_transitions"] += b.diskTransitions.Load()
-		fleetJobs["disk_faults_write"] += b.diskFaultsWrite.Load()
-		fleetJobs["disk_faults_read"] += b.diskFaultsRead.Load()
-		fleetJobs["disk_faults_sync"] += b.diskFaultsSync.Load()
-		fleetJobs["disk_faults_rename"] += b.diskFaultsRename.Load()
-		fleetJobs["jobs_active"] += b.jobsActive.Load()
-		fleetJobs["jobs_resumed"] += b.jobsResumed.Load()
-		fleetJobs["jobs_expired"] += b.jobsExpired.Load()
-		fleetJobs["stream_clients"] += b.streamClients.Load()
-		fleetJobs["fn_cache_hits"] += b.fnCacheHits.Load()
-		fleetJobs["fn_cache_misses"] += b.fnCacheMisses.Load()
-		fleetJobs["probe_decode_errors"] += b.probeDecodeErrors.Load()
+		bk[id] = entry
+		fleetView["probe_decode_errors"] += float64(b.probeDecodeErrors.Load())
 	}
 	draining := make([]string, 0, len(g.draining))
 	for id := range g.draining {
@@ -1001,7 +869,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"start_time":          g.start.UTC().Format(time.RFC3339Nano),
 		"uptime_ms":           time.Since(g.start).Milliseconds(),
 		"backends":            bk,
-		"fleet":               fleetJobs,
+		"fleet":               fleetView,
 		"draining":            draining,
 		"reloads":             g.reloads.Load(),
 		"received":            g.received.Load(),

@@ -542,7 +542,19 @@ func TestGatewayProbeDecodeErrors(t *testing.T) {
 	})
 	b := gw.backends[nodes[0].ts.URL]
 	gauges := func() (int32, int64, int64) {
-		return b.degrade.Load(), b.jobsActive.Load(), b.fnCacheHits.Load()
+		snap := b.gauges.Load()
+		if snap == nil {
+			return b.degrade.Load(), -1, -1
+		}
+		gauge := func(k string) int64 {
+			num, _ := (*snap)[k].(json.Number)
+			n, err := num.Int64()
+			if err != nil {
+				t.Fatalf("gauge %s = %v: %v", k, (*snap)[k], err)
+			}
+			return n
+		}
+		return b.degrade.Load(), gauge("jobs_active"), gauge("fn_cache_hits")
 	}
 
 	gw.probe(b)
@@ -584,6 +596,76 @@ func TestGatewayProbeDecodeErrors(t *testing.T) {
 	}
 	if got := h.Fleet["jobs_active"]; got != 3 {
 		t.Errorf("fleet jobs_active = %v, want the last good 3", got)
+	}
+}
+
+// TestGatewayFoldsUnknownGauges: the gateway reports and sums whatever
+// gauges a backend's /readyz carries, names it has never heard of
+// included. Numbers sum under their own name, true flags count as
+// <name>_backends, the gateway's own per-backend fields win a name
+// clash, and a backend not yet probed contributes no gauges.
+func TestGatewayFoldsUnknownGauges(t *testing.T) {
+	gw, nodes, gts := newScriptedFleet(t, 2, Config{}, func(i int, w http.ResponseWriter, r *http.Request) {
+		writeGateJSON(w, http.StatusOK, map[string]any{
+			"ready": true, "draining": false, "degrade_level": i,
+			"widgets": 5 + i, "frobbed": i == 0, "routed": 999,
+		})
+	})
+	healthz := func() (map[string]map[string]any, map[string]any) {
+		t.Helper()
+		code, _, raw := postRawGet(t, gts.URL+"/healthz")
+		if code != http.StatusOK {
+			t.Fatalf("healthz = %d", code)
+		}
+		var h struct {
+			Backends map[string]map[string]any `json:"backends"`
+			Fleet    map[string]any            `json:"fleet"`
+		}
+		if err := json.Unmarshal(raw, &h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Backends, h.Fleet
+	}
+
+	bk, fl := healthz()
+	for _, k := range []string{"widgets", "frobbed"} {
+		if _, ok := bk[nodes[0].ts.URL][k]; ok {
+			t.Errorf("unprobed backend reports %s", k)
+		}
+	}
+	if _, ok := fl["widgets"]; ok {
+		t.Errorf("fleet sums widgets before any probe: %v", fl)
+	}
+
+	for _, n := range nodes {
+		gw.probe(gw.backends[n.ts.URL])
+	}
+	bk, fl = healthz()
+	for i, n := range nodes {
+		b := bk[n.ts.URL]
+		if got := b["widgets"]; got != float64(5+i) {
+			t.Errorf("backend %d widgets = %v, want %d", i, got, 5+i)
+		}
+		if got := b["frobbed"]; got != (i == 0) {
+			t.Errorf("backend %d frobbed = %v, want %v", i, got, i == 0)
+		}
+		if got := b["routed"]; got != 0.0 {
+			t.Errorf("backend %d routed = %v, want the gateway's 0 over the backend's 999", i, got)
+		}
+		if got := b["degrade_level"]; got != float64(i) {
+			t.Errorf("backend %d degrade_level = %v, want %d", i, got, i)
+		}
+		if _, ok := b["draining"]; ok {
+			t.Errorf("backend %d entry carries the backend's draining flag", i)
+		}
+	}
+	if fl["widgets"] != 11.0 || fl["frobbed_backends"] != 1.0 {
+		t.Errorf("fleet widgets/frobbed_backends = %v/%v, want 11/1", fl["widgets"], fl["frobbed_backends"])
+	}
+	for _, k := range []string{"frobbed", "routed", "ready", "draining", "degrade_level"} {
+		if _, ok := fl[k]; ok {
+			t.Errorf("fleet carries %s", k)
+		}
 	}
 }
 

@@ -13,16 +13,17 @@
 //	GET  /jobs/{id}        — buffered proxy; 404s walk the replicas (a job
 //	                        lives only on the backend that admitted it)
 //	GET  /jobs/{id}/stream — unbuffered resume stream, same 404 walk
-//	GET  /healthz         — gateway + per-backend routing statistics,
-//	                        including per-backend job and fn-cache gauges
+//	GET  /healthz         — gateway + per-backend routing statistics, each
+//	                        backend's /readyz gauges, and their fleet sums
 //	GET  /readyz          — 200 while at least one backend is admittable
 //	POST /admin/reload    — swap the backend set: {"backends": [...]}
 //
 // Membership is live: -backends-file names a file with one backend URL
-// per line (# comments allowed); SIGHUP re-reads it and applies the
-// change with minimal ring movement — surviving backends keep their
-// placements and breaker history, removed ones drain their in-flight
-// work, added ones start fresh. /admin/reload does the same over HTTP.
+// per line (# comments allowed); SIGHUP re-reads it, keeps the -backends
+// members, and applies the change with minimal ring movement —
+// surviving backends keep their placements and breaker history, removed
+// ones drain their in-flight work, added ones start fresh.
+// /admin/reload replaces the whole set over HTTP.
 //
 // Routing cannot change results: every backend computes byte-identical
 // output for the same request (see DESIGN.md §8), so failover and
@@ -62,13 +63,9 @@ func main() {
 	)
 	flag.Parse()
 
-	ids := splitBackends(*backends)
-	if *backendsFile != "" {
-		fileIDs, err := readBackendsFile(*backendsFile)
-		if err != nil {
-			log.Fatalf("lcmgate: %v", err)
-		}
-		ids = append(ids, fileIDs...)
+	ids, err := membership(*backends, *backendsFile)
+	if err != nil {
+		log.Fatalf("lcmgate: %v", err)
 	}
 	if len(ids) == 0 {
 		fmt.Fprintln(os.Stderr, "lcmgate: -backends or -backends-file is required (lcmd base URLs)")
@@ -120,7 +117,7 @@ func main() {
 		signal.Notify(hup, syscall.SIGHUP)
 		go func() {
 			for range hup {
-				next, err := readBackendsFile(*backendsFile)
+				next, err := membership(*backends, *backendsFile)
 				if err != nil {
 					log.Printf("lcmgate: SIGHUP: %v (membership unchanged)", err)
 					continue
@@ -151,33 +148,26 @@ func main() {
 	gw.Close()
 }
 
-// readBackendsFile parses a membership file: one backend URL per line,
-// blank lines and #-comments ignored.
-func readBackendsFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading backends file: %w", err)
-	}
-	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// membership is the backend set: the -backends list followed by the
+// -backends-file lines, each trimmed of space and trailing slashes, with
+// blank entries and #-comments dropped. Boot and SIGHUP both compute it
+// here, so a reload re-reads the file without dropping the -backends
+// members.
+func membership(list, file string) ([]string, error) {
+	entries := strings.Split(list, ",")
+	if file != "" {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("reading backends file: %w", err)
 		}
-		out = append(out, strings.TrimRight(line, "/"))
+		entries = append(entries, strings.Split(string(data), "\n")...)
 	}
-	return out, nil
-}
-
-// splitBackends parses the -backends flag, trimming whitespace and
-// trailing slashes so joined URLs stay clean.
-func splitBackends(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			out = append(out, p)
+	var ids []string
+	for _, e := range entries {
+		e = strings.TrimRight(strings.TrimSpace(e), "/")
+		if e != "" && !strings.HasPrefix(e, "#") {
+			ids = append(ids, e)
 		}
 	}
-	return out
+	return ids, nil
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,6 +245,44 @@ func TestAdminReloadEndpoint(t *testing.T) {
 	code, _, raw := postRaw(t, gts.URL, "/optimize", body)
 	if code != http.StatusOK || !bytes.Contains(raw, []byte(`"served_by":0`)) {
 		t.Errorf("re-added backend not serving: %d %s", code, raw)
+	}
+}
+
+// TestMembershipKeepsFlagBackends: membership is the -backends list
+// plus the file, and a re-read after the file changes (what SIGHUP
+// does) still carries every -backends member.
+func TestMembershipKeepsFlagBackends(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "backends")
+	write := func(content string) {
+		t.Helper()
+		if err := os.WriteFile(file, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const list = "http://a:1/, http://b:2"
+	write("# fleet\nhttp://c:3\n")
+	got, err := membership(list, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"http://a:1", "http://b:2", "http://c:3"}; !slices.Equal(got, want) {
+		t.Fatalf("boot membership = %v, want %v", got, want)
+	}
+
+	write("http://d:4/\n")
+	got, err = membership(list, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"http://a:1", "http://b:2", "http://d:4"}; !slices.Equal(got, want) {
+		t.Fatalf("reloaded membership = %v, want %v", got, want)
+	}
+
+	if got, err := membership(list, ""); err != nil || !slices.Equal(got, []string{"http://a:1", "http://b:2"}) {
+		t.Fatalf("membership without a file = %v, %v", got, err)
+	}
+	if _, err := membership(list, filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("an unreadable file must be an error, leaving membership unchanged")
 	}
 }
 

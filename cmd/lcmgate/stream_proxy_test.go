@@ -99,7 +99,7 @@ func frame(t *testing.T, recs []gateRecord) (gateRecord, []gateRecord, gateRecor
 // whole exchange visible in the gateway's healthz — streams_proxied plus
 // the per-backend and fleet job/fn-cache gauges fed by /readyz probes.
 func TestGatewayStreamProxyEndToEnd(t *testing.T) {
-	_, nodes, gts := newFleet(t, 3, Config{HealthInterval: 20 * time.Millisecond})
+	gw, nodes, gts := newFleet(t, 3, Config{HealthInterval: 20 * time.Millisecond})
 	body := optBody(t, diamond)
 
 	// Reference: the same module through the plain buffered endpoint on a
@@ -179,7 +179,13 @@ func TestGatewayStreamProxyEndToEnd(t *testing.T) {
 		}
 		return h
 	}
+	// A backend reports gauges only once one of its probes has decoded.
 	waitFor(t, func() bool {
+		for _, n := range nodes {
+			if gw.backends[n.ts.URL].gauges.Load() == nil {
+				return false
+			}
+		}
 		fleet, _ := healthz()["fleet"].(map[string]any)
 		miss, _ := fleet["fn_cache_misses"].(float64)
 		return miss >= 1

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lazycm/internal/fleet"
@@ -16,10 +15,9 @@ import (
 // gateway in front. It carries the client half of the fleet routing
 // story: requests prefer their consistent-hash owner (cache affinity),
 // a per-endpoint circuit breaker takes dead endpoints out of rotation,
-// failed attempts rotate to the next replica, and a hedged second
-// attempt fires against another replica when the primary dawdles past
-// HedgeAfter. Safe because every endpoint computes byte-identical
-// results — whichever replica answers first is the answer.
+// and failed attempts rotate to the next replica. Safe because every
+// endpoint computes byte-identical results — whichever replica answers
+// is the answer.
 //
 // The zero value plus Endpoints is usable. MultiClient is safe for
 // concurrent use after the first call.
@@ -29,7 +27,7 @@ type MultiClient struct {
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
 	// MaxAttempts caps wire attempts per Optimize call, counted across
-	// endpoints (a hedge pair counts as one attempt).
+	// endpoints.
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the between-rounds backoff, as in
 	// Client.
@@ -37,10 +35,6 @@ type MultiClient struct {
 	MaxBackoff  time.Duration
 	// Budget caps one Optimize call's total wall-clock.
 	Budget time.Duration
-	// HedgeAfter is the soft deadline after which a second attempt is
-	// launched against the next healthy replica while the first is still
-	// running; first answer wins. 0 disables hedging.
-	HedgeAfter time.Duration
 	// Breaker tunes the per-endpoint circuit breakers.
 	Breaker fleet.BreakerConfig
 
@@ -48,7 +42,6 @@ type MultiClient struct {
 	ring     *fleet.Ring
 	clients  map[string]*Client
 	breakers map[string]*fleet.Breaker
-	hedges   atomic.Int64
 
 	// sleep is the wait primitive; tests swap it.
 	sleep func(context.Context, time.Duration) error
@@ -69,9 +62,6 @@ func (m *MultiClient) init() {
 		}
 	})
 }
-
-// Hedges returns how many hedged second attempts have been launched.
-func (m *MultiClient) Hedges() int64 { return m.hedges.Load() }
 
 // BreakerState reports the breaker state for one endpoint (Closed for
 // unknown endpoints).
@@ -164,8 +154,7 @@ func (m *MultiClient) Optimize(ctx context.Context, req Request) (*Response, err
 // half-open probe, which is how the client discovers recovery without
 // dedicated health traffic. Otherwise the attempt number rotates
 // through the non-open replicas (attempt 1 is the hash owner, attempt
-// 2 the next replica, …), hedged against the following replica when
-// the primary overruns the soft deadline.
+// 2 the next replica, …).
 func (m *MultiClient) round(ctx context.Context, order []string, req Request, attempt int) (*Response, error) {
 	for _, ep := range order {
 		br := m.breakers[ep]
@@ -184,12 +173,7 @@ func (m *MultiClient) round(ctx context.Context, order []string, req Request, at
 	if len(candidates) == 0 {
 		return nil, &retryableError{msg: "all endpoint breakers open"}
 	}
-	primary := candidates[(attempt-1)%len(candidates)]
-	if m.HedgeAfter <= 0 || len(candidates) < 2 {
-		return m.attempt(ctx, primary, req, true)
-	}
-	alt := candidates[attempt%len(candidates)]
-	return m.hedged(ctx, primary, alt, req)
+	return m.attempt(ctx, candidates[(attempt-1)%len(candidates)], req, true)
 }
 
 // attempt runs one wire call against one endpoint and feeds its
@@ -203,8 +187,8 @@ func (m *MultiClient) attempt(ctx context.Context, ep string, req Request, gate 
 	}
 	resp, err := m.clients[ep].post(ctx, req)
 	if ctx.Err() != nil && err != nil {
-		// Our own cancellation (or a lost hedge race), not the
-		// endpoint's fault: don't teach the breaker anything.
+		// Our own cancellation, not the endpoint's fault: don't teach
+		// the breaker anything.
 		return nil, &retryableError{msg: fmt.Sprintf("endpoint %s: %v", ep, ctx.Err())}
 	}
 	switch e := err.(type) {
@@ -222,59 +206,4 @@ func (m *MultiClient) attempt(ctx context.Context, ep string, req Request, gate 
 		err = fmt.Errorf("endpoint %s: %w", ep, err)
 	}
 	return nil, err
-}
-
-// hedged races the primary against a delayed second attempt on alt:
-// the primary gets HedgeAfter to itself, then the alt launches and the
-// first answer wins. The loser is canceled and its verdict discarded.
-func (m *MultiClient) hedged(ctx context.Context, primary, alt string, req Request) (*Response, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp *Response
-		err  error
-	}
-	results := make(chan outcome, 2)
-	launch := func(ep string) {
-		go func() {
-			resp, err := m.attempt(hctx, ep, req, true)
-			results <- outcome{resp, err}
-		}()
-	}
-	launch(primary)
-
-	timer := time.NewTimer(m.HedgeAfter)
-	defer timer.Stop()
-	launched := 1
-	select {
-	case r := <-results:
-		if r.err == nil {
-			return r.resp, nil
-		}
-		// Primary failed before the soft deadline: the ordinary retry
-		// loop handles rotation; no hedge needed.
-		return nil, r.err
-	case <-timer.C:
-		m.hedges.Add(1)
-		launch(alt)
-		launched = 2
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-
-	var firstErr error
-	for i := 0; i < launched; i++ {
-		select {
-		case r := <-results:
-			if r.err == nil {
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, firstErr
 }

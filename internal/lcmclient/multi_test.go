@@ -197,35 +197,6 @@ func TestMultiBreakerRecovery(t *testing.T) {
 	}
 }
 
-// TestMultiHedge: a primary that overruns the soft deadline gets raced
-// by the next replica, and the faster answer wins.
-func TestMultiHedge(t *testing.T) {
-	release := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		okHandler("func slow(a) {\ne:\n  ret a\n}\n").ServeHTTP(w, r)
-	})
-	fast := okHandler("func fast(a) {\ne:\n  ret a\n}\n")
-	m, servers := newMulti(t, &MultiClient{HedgeAfter: 20 * time.Millisecond}, slow, fast)
-	defer close(release)
-	program := programOwnedBy(t, m, servers[0].URL)
-
-	resp, err := m.Optimize(context.Background(), Request{Program: program})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Program != "func fast(a) {\ne:\n  ret a\n}\n" {
-		t.Errorf("hedge did not win: got %q", resp.Program)
-	}
-	if m.Hedges() != 1 {
-		t.Errorf("hedges = %d, want 1", m.Hedges())
-	}
-}
-
 // TestMultiTerminalStopsRouting: a terminal classification from any
 // replica ends the call — no retry against other endpoints.
 func TestMultiTerminalStopsRouting(t *testing.T) {

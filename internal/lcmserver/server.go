@@ -675,74 +675,45 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	body := map[string]any{
-		"status":         status,
-		"workers":        s.cfg.Workers,
-		"queue_capacity": s.cfg.Queue,
-		"queue_depth":    s.queued.Load(),
-		"inflight":       s.inflight.Load(),
+	st := s.Stats()
+	writeJSON(w, code, struct {
+		Status        string `json:"status"`
+		Workers       int    `json:"workers"`
+		QueueCapacity int    `json:"queue_capacity"`
 		// start_time + uptime_ms together let an operator (or a soak)
 		// distinguish a warm restart from a long-running process: a young
 		// uptime with a populated disk tier is a warm boot.
-		"start_time":   s.start.UTC().Format(time.RFC3339Nano),
-		"uptime_ms":    time.Since(s.start).Milliseconds(),
-		"requests":     s.requests.Load(),
-		"optimized":    s.optimized.Load(),
-		"fell_back":    s.fellBack.Load(),
-		"canceled":     s.canceled.Load(),
-		"invalid":      s.invalid.Load(),
-		"shed":         s.shed.Load(),
-		"panics":       s.panics.Load(),
-		"quarantined":  s.quarantined.Load(),
-		"cache_hits":   s.cacheHits.Load(),
-		"cache_misses": s.cacheMisses.Load(),
-		// fn_cache_* are the function-granular aliases: the cache is keyed
-		// per function, so hits/misses count functions, not requests.
-		"fn_cache_hits":       s.cacheHits.Load(),
-		"fn_cache_misses":     s.cacheMisses.Load(),
-		"jobs_active":         s.jobsActive.Load(),
-		"jobs_resumed":        s.jobsResumed.Load(),
-		"jobs_expired":        s.jobsExpired.Load(),
-		"stream_clients":      s.streamClients.Load(),
-		"cache_entries":       s.cache.len(),
-		"cache_corrupt":       s.cacheCorrupt.Load(),
-		"disk_entries":        s.disk().Len(),
-		"disk_bytes":          s.disk().Bytes(),
-		"disk_hits":           s.diskHits(),
-		"corrupt_dropped":     s.disk().CorruptDropped(),
-		"peer_hits":           s.peerHits.Load(),
-		"peer_misses":         s.peerMisses.Load(),
-		"peer_served":         s.peerServed.Load(),
-		"degrade_level":       int(lvl),
-		"degrade_transitions": s.ladder.Transitions(),
-		"retry_after_ms":      s.lastRetryMS.Load(),
-		"latency_ewma_ms":     s.gauge.EWMA().Milliseconds(),
-		"quarantine_writable": s.quarantineWritable(),
-		"disk_write_errors":   s.disk().WriteErrors(),
-		"disk_read_errors":    s.disk().ReadErrors(),
-		// Retired with the word-sliced and sparse solvers: always 0. The
-		// keys stay only because svcbench still reads them.
-		"solver_parallel_slices": 0,
-		"solver_sparse_skips":    0,
-	}
-	// Hostile-storage telemetry: per-class fault totals from the vfs
-	// observer, plus the self-quarantining tier's state. disk_disabled
-	// true means the disk cache is bypassed (memory + peers + compute
-	// still serve) and journal_degraded means new ?job= submissions are
-	// refused with a structured 503 until the background probe
-	// re-enables the tier.
-	fw, fr, fsy, frn := s.diskHealth.Faults()
-	body["disk_faults_write"] = fw
-	body["disk_faults_read"] = fr
-	body["disk_faults_sync"] = fsy
-	body["disk_faults_rename"] = frn
-	body["disk_disabled"] = s.diskHealth.Disabled()
-	body["disk_disable_transitions"] = s.diskHealth.Transitions()
-	body["journal_degraded"] = s.journalDegraded()
-	if ps := s.peers.states(); ps != nil {
-		body["peers"] = ps
-	}
-	writeJSON(w, code, body)
+		StartTime          string            `json:"start_time"`
+		UptimeMS           int64             `json:"uptime_ms"`
+		DegradeLevel       int               `json:"degrade_level"`
+		RetryAfterMS       int64             `json:"retry_after_ms"`
+		LatencyEWMAMS      int64             `json:"latency_ewma_ms"`
+		QuarantineWritable bool              `json:"quarantine_writable"`
+		Peers              map[string]string `json:"peers,omitempty"`
+		Stats
+		// cache_hits and cache_misses repeat fn_cache_hits and
+		// fn_cache_misses; the solver keys were retired with the
+		// word-sliced and sparse solvers and are always 0. All four stay
+		// only because README and svcbench read them.
+		HitsAlias            int64 `json:"cache_hits"`
+		MissesAlias          int64 `json:"cache_misses"`
+		SolverParallelSlices int   `json:"solver_parallel_slices"`
+		SolverSparseSkips    int   `json:"solver_sparse_skips"`
+	}{
+		Status:             status,
+		Workers:            s.cfg.Workers,
+		QueueCapacity:      s.cfg.Queue,
+		StartTime:          s.start.UTC().Format(time.RFC3339Nano),
+		UptimeMS:           time.Since(s.start).Milliseconds(),
+		DegradeLevel:       int(lvl),
+		RetryAfterMS:       s.lastRetryMS.Load(),
+		LatencyEWMAMS:      s.gauge.EWMA().Milliseconds(),
+		QuarantineWritable: s.quarantineWritable(),
+		Peers:              s.peers.states(),
+		Stats:              st,
+		HitsAlias:          st.CacheHits,
+		MissesAlias:        st.CacheMisses,
+	})
 }
 
 // disk returns the durable cache tier, possibly nil (every cachestore
@@ -762,6 +733,15 @@ func (s *Server) diskHits() int64 {
 	return s.cache.diskHits.Load()
 }
 
+// readiness is the /readyz body: the readiness and degrade level a
+// gateway routes on, then the gauges it folds without naming them.
+type readiness struct {
+	Ready        bool `json:"ready"`
+	Draining     bool `json:"draining"`
+	DegradeLevel int  `json:"degrade_level"`
+	Gauges
+}
+
 // handleReadyz is the cheap readiness probe: 503 while draining or
 // while the degradation ladder is shedding all new work (level 3), 200
 // otherwise. A gateway polls this instead of parsing the full healthz
@@ -772,123 +752,130 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Like healthz, a readiness probe is also a pressure sample: frequent
 	// polling keeps the ladder descending after a burst.
 	lvl := s.observe()
-	fw, fr, fsy, frn := s.diskHealth.Faults()
-	ready := !s.draining.Load() && lvl < overload.LevelShed
+	draining := s.draining.Load()
+	ready := !draining && lvl < overload.LevelShed
 	code := http.StatusOK
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"ready":         ready,
-		"draining":      s.draining.Load(),
-		"degrade_level": int(lvl),
-		// The job/stream gauges ride on the probe so a gateway can fold
-		// them into its fleet healthz view without a second request.
-		"jobs_active":     s.jobsActive.Load(),
-		"jobs_resumed":    s.jobsResumed.Load(),
-		"jobs_expired":    s.jobsExpired.Load(),
-		"stream_clients":  s.streamClients.Load(),
-		"fn_cache_hits":   s.cacheHits.Load(),
-		"fn_cache_misses": s.cacheMisses.Load(),
-		// Disk-tier health rides along too, so the gateway folds the
-		// hostile-storage state per backend into its fleet summary.
-		"disk_disabled":            s.diskHealth.Disabled(),
-		"disk_disable_transitions": s.diskHealth.Transitions(),
-		"journal_degraded":         s.journalDegraded(),
-		"disk_faults_write":        fw,
-		"disk_faults_read":         fr,
-		"disk_faults_sync":         fsy,
-		"disk_faults_rename":       frn,
-	})
+	writeJSON(w, code, readiness{Ready: ready, Draining: draining, DegradeLevel: int(lvl), Gauges: s.gauges()})
+}
+
+// Gauges are the counters /readyz carries besides readiness, so a
+// gateway can fold them into its fleet view without a second request.
+// The gateway names none of them: a field added here reaches its
+// per-backend and fleet views as it is. fleet.MaxReadyzBytes bounds the
+// encoded /readyz body.
+type Gauges struct {
+	JobsActive    int64 `json:"jobs_active"`    // job runner generations in flight
+	JobsResumed   int64 `json:"jobs_resumed"`   // unfinished journaled jobs re-admitted at boot
+	JobsExpired   int64 `json:"jobs_expired"`   // journals expired (TTL) or dropped (undecodable) at boot
+	StreamClients int64 `json:"stream_clients"` // NDJSON followers currently connected
+	// CacheHits counts results replayed from the content cache (memory
+	// or disk) and CacheMisses lookups that ran the pipeline. The cache
+	// is keyed per function, so both count functions, not requests.
+	CacheHits   int64 `json:"fn_cache_hits"`
+	CacheMisses int64 `json:"fn_cache_misses"`
+
+	// Hostile-storage health: DiskDisabled means the disk cache is
+	// bypassed (memory + peers + compute still serve) and
+	// JournalDegraded that new ?job= submissions are refused with a
+	// structured 503, until the background probe re-enables the tier.
+	// The DiskFaults* fields are the per-class fault totals the vfs
+	// observer has seen.
+	DiskDisabled           bool  `json:"disk_disabled"`
+	DiskDisableTransitions int64 `json:"disk_disable_transitions"`
+	JournalDegraded        bool  `json:"journal_degraded"`
+	DiskFaultsWrite        int64 `json:"disk_faults_write"`
+	DiskFaultsRead         int64 `json:"disk_faults_read"`
+	DiskFaultsSync         int64 `json:"disk_faults_sync"`
+	DiskFaultsRename       int64 `json:"disk_faults_rename"`
+}
+
+// gauges reads the /readyz gauges. It takes no cache or disk lock, so a
+// readiness probe never waits behind cache traffic.
+func (s *Server) gauges() Gauges {
+	fw, fr, fsy, frn := s.diskHealth.Faults()
+	return Gauges{
+		JobsActive:             s.jobsActive.Load(),
+		JobsResumed:            s.jobsResumed.Load(),
+		JobsExpired:            s.jobsExpired.Load(),
+		StreamClients:          s.streamClients.Load(),
+		CacheHits:              s.cacheHits.Load(),
+		CacheMisses:            s.cacheMisses.Load(),
+		DiskDisabled:           s.diskHealth.Disabled(),
+		DiskDisableTransitions: s.diskHealth.Transitions(),
+		JournalDegraded:        s.journalDegraded(),
+		DiskFaultsWrite:        fw,
+		DiskFaultsRead:         fr,
+		DiskFaultsSync:         fsy,
+		DiskFaultsRename:       frn,
+	}
 }
 
 // Stats is a point-in-time snapshot of the server's accounting
-// counters, exported so an embedding test (the fleet soak) can audit
-// the single-node invariants — outcome buckets summing exactly to
+// counters: everything /healthz reports beside its pool header. It is
+// exported so an embedding test (the fleet soak) can audit the
+// single-node invariants — outcome buckets summing exactly to
 // admissions, the queue drained to zero — across every backend of a
 // fleet.
 type Stats struct {
-	Requests     int64
-	Optimized    int64
-	FellBack     int64
-	Canceled     int64
-	Invalid      int64
-	Shed         int64
-	Panics       int64
-	Quarantined  int64
-	CacheHits    int64
-	CacheMisses  int64
-	CacheCorrupt int64
-	DiskEntries  int64
-	DiskBytes    int64
-	DiskHits     int64
+	Gauges
+	Requests     int64 `json:"requests"`
+	Optimized    int64 `json:"optimized"`
+	FellBack     int64 `json:"fell_back"`
+	Canceled     int64 `json:"canceled"`
+	Invalid      int64 `json:"invalid"`
+	Shed         int64 `json:"shed"`
+	Panics       int64 `json:"panics"`
+	Quarantined  int64 `json:"quarantined"`
+	CacheEntries int64 `json:"cache_entries"`
+	CacheCorrupt int64 `json:"cache_corrupt"`
+	DiskEntries  int64 `json:"disk_entries"`
+	DiskBytes    int64 `json:"disk_bytes"`
+	DiskHits     int64 `json:"disk_hits"`
 	// CorruptDropped counts durable-tier entries dropped by integrity
 	// verification — detected disk rot, never served. DiskWriteErrors
 	// and DiskReadErrors are the distinct IO-failure signals (the disk
 	// refusing bytes, not lying about them).
-	CorruptDropped  int64
-	DiskWriteErrors int64
-	DiskReadErrors  int64
-	PeerHits        int64
-	PeerMisses      int64
-	PeerServed      int64
-	JobsActive      int64
-	JobsResumed     int64
-	JobsExpired     int64
-	StreamClients   int64
-	Queued          int64
-	Inflight        int64
-
-	// Hostile-storage health: per-class fault totals seen by the vfs
-	// observer and the self-quarantining tier's state.
-	DiskFaultsWrite        int64
-	DiskFaultsRead         int64
-	DiskFaultsSync         int64
-	DiskFaultsRename       int64
-	DiskDisabled           bool
-	DiskDisableTransitions int64
-	JournalDegraded        bool
+	CorruptDropped     int64 `json:"corrupt_dropped"`
+	DiskWriteErrors    int64 `json:"disk_write_errors"`
+	DiskReadErrors     int64 `json:"disk_read_errors"`
+	PeerHits           int64 `json:"peer_hits"`
+	PeerMisses         int64 `json:"peer_misses"`
+	PeerServed         int64 `json:"peer_served"`
+	DegradeTransitions int64 `json:"degrade_transitions"`
+	Queued             int64 `json:"queue_depth"`
+	Inflight           int64 `json:"inflight"`
 }
 
 // Stats snapshots the accounting counters. The snapshot is not atomic
 // across counters; audit it only on a drained server.
 func (s *Server) Stats() Stats {
-	fw, fr, fsy, frn := s.diskHealth.Faults()
 	return Stats{
-		DiskWriteErrors:        s.disk().WriteErrors(),
-		DiskReadErrors:         s.disk().ReadErrors(),
-		DiskFaultsWrite:        fw,
-		DiskFaultsRead:         fr,
-		DiskFaultsSync:         fsy,
-		DiskFaultsRename:       frn,
-		DiskDisabled:           s.diskHealth.Disabled(),
-		DiskDisableTransitions: s.diskHealth.Transitions(),
-		JournalDegraded:        s.journalDegraded(),
-
-		Requests:       s.requests.Load(),
-		Optimized:      s.optimized.Load(),
-		FellBack:       s.fellBack.Load(),
-		Canceled:       s.canceled.Load(),
-		Invalid:        s.invalid.Load(),
-		Shed:           s.shed.Load(),
-		Panics:         s.panics.Load(),
-		Quarantined:    s.quarantined.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheMisses:    s.cacheMisses.Load(),
-		CacheCorrupt:   s.cacheCorrupt.Load(),
-		DiskEntries:    int64(s.disk().Len()),
-		DiskBytes:      s.disk().Bytes(),
-		DiskHits:       s.diskHits(),
-		CorruptDropped: s.disk().CorruptDropped(),
-		PeerHits:       s.peerHits.Load(),
-		PeerMisses:     s.peerMisses.Load(),
-		PeerServed:     s.peerServed.Load(),
-		JobsActive:     s.jobsActive.Load(),
-		JobsResumed:    s.jobsResumed.Load(),
-		JobsExpired:    s.jobsExpired.Load(),
-		StreamClients:  s.streamClients.Load(),
-		Queued:         s.queued.Load(),
-		Inflight:       s.inflight.Load(),
+		Gauges:             s.gauges(),
+		Requests:           s.requests.Load(),
+		Optimized:          s.optimized.Load(),
+		FellBack:           s.fellBack.Load(),
+		Canceled:           s.canceled.Load(),
+		Invalid:            s.invalid.Load(),
+		Shed:               s.shed.Load(),
+		Panics:             s.panics.Load(),
+		Quarantined:        s.quarantined.Load(),
+		CacheEntries:       int64(s.cache.len()),
+		CacheCorrupt:       s.cacheCorrupt.Load(),
+		DiskEntries:        int64(s.disk().Len()),
+		DiskBytes:          s.disk().Bytes(),
+		DiskHits:           s.diskHits(),
+		CorruptDropped:     s.disk().CorruptDropped(),
+		DiskWriteErrors:    s.disk().WriteErrors(),
+		DiskReadErrors:     s.disk().ReadErrors(),
+		PeerHits:           s.peerHits.Load(),
+		PeerMisses:         s.peerMisses.Load(),
+		PeerServed:         s.peerServed.Load(),
+		DegradeTransitions: s.ladder.Transitions(),
+		Queued:             s.queued.Load(),
+		Inflight:           s.inflight.Load(),
 	}
 }
 
