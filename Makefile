@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke
+.PHONY: check fmt build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke svcbench-smoke
 
 # Tier-1 gate: everything CI and pre-commit must hold.
 check: fmt build vet race
@@ -57,6 +57,17 @@ MAX_REGRESS ?= 25
 bench-delta:
 	$(GO) run ./cmd/lcmbench -bench '^$$' -o /tmp/BENCH_fresh.json \
 		-baseline BENCH_lcm.json -max-regress $(MAX_REGRESS) .
+
+# Service benchmark smoke: build lcmd, lcmgate and svcbench from this
+# checkout and run every workload once (seed 1, 15 s each). Every
+# workload runs; the target fails if any run exits non-zero — a failed
+# output check, a server that will not start, or a sample check the run
+# cannot meet. Shorter windows starve warm_edit's p95 sample check.
+# Build outputs stay under .bench_build.
+svcbench-smoke:
+	status=0; for w in cold_mixed warm_edit durable_stream warm_edit_gate; do \
+		bash svcbench/run.sh --workload $$w --seed 1 --seconds 15 || { echo "svcbench-smoke: $$w failed"; status=1; }; \
+	done; exit $$status
 
 # Run the optimization server (see the lcmd section in README.md).
 serve:

@@ -27,11 +27,12 @@
 //	                             poll the deadline at iteration boundaries
 //	-verify                      re-check each transformed function against
 //	                             its original on random inputs
-//	-remote URL[,URL...]         send the program to lcmd server(s); a list
-//	                             fails over across replicas client-side
-//	                             instead of optimizing in-process, via the
-//	                             hardened retrying client (honors the
-//	                             server's Retry-After contract); display
+//	-remote URL                  send the program to the lcmd server (or
+//	                             lcmgate) at URL instead of optimizing
+//	                             in-process, via the hardened retrying
+//	                             client (honors the server's Retry-After
+//	                             contract); for failover across several
+//	                             backends, point it at an lcmgate. Display
 //	                             flags that need local analysis
 //	                             (-predicates, -dot, -stats, -run,
 //	                             -simplify) are rejected
@@ -40,8 +41,8 @@
 //
 //	0  every function optimized
 //	1  error (including pass failure without -fallback)
-//	2  invalid input: unknown mode, unparsable program, or a function
-//	   failing IR validation
+//	2  invalid input or usage: unknown mode, unparsable program, a
+//	   function failing IR validation, or a -remote list of URLs
 //	3  a pass failed and -fallback emitted the original function
 //	4  deadline exceeded: -timeout expired before the transformation
 //	   finished (with -fallback the original function is still emitted)
@@ -104,7 +105,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 	fuel := fs.Int("fuel", 0, "node-visit budget per data-flow fixpoint (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 	verifyFlag := fs.Bool("verify", false, "re-check each transformed function against its original on random inputs")
-	remote := fs.String("remote", "", "optimize via lcmd server(s) at this base URL (comma-separate several for client-side failover)")
+	remote := fs.String("remote", "", "optimize via the lcmd server or lcmgate at this base URL")
 	if err := fs.Parse(args); err != nil {
 		return exitInvalid, err
 	}
@@ -115,6 +116,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		return exitInvalid, fmt.Errorf("unknown mode %q (valid: %s)", *mode, strings.Join(pipeline.ModeNames(), ", "))
 	}
 	if *remote != "" {
+		if strings.Contains(*remote, ",") {
+			return exitInvalid, fmt.Errorf("-remote takes one URL; for failover across backends, point it at an lcmgate")
+		}
 		for flagName, set := range map[string]bool{
 			"-predicates": *predicates, "-dot": *dot, "-stats": *stats,
 			"-simplify": *simplify, "-run": *runArgs != "",
@@ -196,24 +200,12 @@ type remoteOpts struct {
 	fallback  bool
 }
 
-// optimizer is the client surface runRemote needs; both the single-
-// and multi-endpoint clients satisfy it.
-type optimizer interface {
-	Optimize(context.Context, lcmclient.Request) (*lcmclient.Response, error)
-}
-
 // runRemote ships the whole program to an lcmd server through the
 // hardened client and maps the service's outcome onto the CLI's exit
 // codes. The server runs the same pipeline over the same printer, so a
 // clean remote round trip is byte-identical to local optimization.
-// A comma-separated endpoint list engages the fleet client: consistent-
-// hash affinity, per-endpoint circuit breakers, failover across
-// replicas — any replica's answer is the answer.
 func runRemote(baseURL, src string, o remoteOpts, stdout io.Writer) (int, error) {
-	var c optimizer = &lcmclient.Client{BaseURL: baseURL}
-	if eps := splitEndpoints(baseURL); len(eps) > 1 {
-		c = &lcmclient.MultiClient{Endpoints: eps}
-	}
+	c := &lcmclient.Client{BaseURL: baseURL}
 	resp, err := c.Optimize(context.Background(), lcmclient.Request{
 		Program:   src,
 		Mode:      o.mode,
@@ -251,19 +243,6 @@ func runRemote(baseURL, src string, o remoteOpts, stdout io.Writer) (int, error)
 		return exitFellBack, nil
 	}
 	return exitOptimized, nil
-}
-
-// splitEndpoints parses a comma-separated -remote value, trimming
-// whitespace and trailing slashes.
-func splitEndpoints(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func optimizeOne(f *ir.Function, o opts, stdout io.Writer) (int, error) {

@@ -11,14 +11,16 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lazycm/internal/lcmserver"
 	"lazycm/internal/pipeline"
 	"lazycm/internal/textir"
 )
 
-// optimizeWire mirrors lcmd's POST /optimize request body. cmd/lcm and
-// cmd/lcmd are both package main, so the real server cannot be imported
-// here; this test stand-in runs the same pipeline through the same
-// printer, which is exactly the property the round-trip test locks in.
+// optimizeWire mirrors lcmd's POST /optimize request body. The
+// scripted stand-in below runs the same pipeline through the same
+// printer, which is exactly the property the round-trip test locks in,
+// and lets tests put sheds and fixed answers in front of it;
+// TestRemoteTrailingSlashRealServer drives the real lcmserver handler.
 type optimizeWire struct {
 	Program   string `json:"program"`
 	Mode      string `json:"mode"`
@@ -170,26 +172,37 @@ func TestRemoteRejectsLocalOnlyFlags(t *testing.T) {
 
 const diamondSrc = "func f(a, b, c) {\nentry:\n  br c then else\nthen:\n  x = a + b\n  jmp join\nelse:\n  jmp join\njoin:\n  y = a + b\n  ret y\n}\n"
 
-// TestRemoteFleetFailover: a comma-separated -remote list engages the
-// fleet client; with the first endpoint dead the call fails over to the
-// live replica and the output stays byte-identical to a local run.
-func TestRemoteFleetFailover(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // connection refused from here on
-	live := remoteTestServer(t, nil)
+// TestRemoteRejectsEndpointList: -remote names one server; a list is a
+// usage error that points at lcmgate, before any request is sent.
+func TestRemoteRejectsEndpointList(t *testing.T) {
+	code, err := run([]string{"-remote", "http://127.0.0.1:0,http://127.0.0.1:1"},
+		strings.NewReader(diamondSrc), &strings.Builder{})
+	if code != exitInvalid || err == nil || !strings.Contains(err.Error(), "lcmgate") {
+		t.Errorf("endpoint list: code %d err %v, want %d and an error naming lcmgate", code, err, exitInvalid)
+	}
+}
 
+// TestRemoteTrailingSlashRealServer: a -remote root written with a
+// trailing slash reaches a real lcmd handler's /optimize — not
+// "//optimize", which its router redirects into a GET — and the output
+// is byte-identical to a local run.
+func TestRemoteTrailingSlashRealServer(t *testing.T) {
+	srv := lcmserver.NewServer(lcmserver.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
 	var local, remote strings.Builder
-	if _, err := run([]string{"-mode", "lcm"}, strings.NewReader(diamondSrc), &local); err != nil {
+	if _, err := run(nil, strings.NewReader(diamondSrc), &local); err != nil {
 		t.Fatal(err)
 	}
-	endpoints := dead.URL + "," + live.URL
-	code, err := run([]string{"-mode", "lcm", "-remote", endpoints},
-		strings.NewReader(diamondSrc), &remote)
+	code, err := run([]string{"-remote", ts.URL + "/"}, strings.NewReader(diamondSrc), &remote)
 	if code != exitOptimized || err != nil {
-		t.Fatalf("fleet run with dead first endpoint: code %d err %v", code, err)
+		t.Fatalf("remote run with trailing slash: code %d err %v", code, err)
 	}
 	if local.String() != remote.String() {
-		t.Errorf("failover output differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
+		t.Errorf("remote output differs from local:\n--- local ---\n%s\n--- remote ---\n%s",
 			local.String(), remote.String())
 	}
 }

@@ -13,8 +13,9 @@
 //	                      with ?job= the batch becomes a resumable job
 //	                      (idempotent, content-addressed job_id)
 //	POST /optimize/stream NDJSON streaming batch: one record per function
-//	                      as it completes, heartbeats, then a trailer with
-//	                      the aggregates; ?job= makes it resumable
+//	                      as it completes, a heartbeat every 10s while
+//	                      none does, then a trailer with the aggregates;
+//	                      ?job= makes it resumable
 //	GET  /jobs/{id}        point-in-time job progress snapshot
 //	GET  /jobs/{id}/stream resume a job's stream: replay completed items,
 //	                      follow the rest
@@ -34,8 +35,8 @@
 //	                 with 429 + Retry-After (default 4×workers). A batch
 //	                 or stream needs a slot per function, an /optimize
 //	                 one, widening into free slots as it fans out
-//	-timeout D       default per-request budget (default 5s)
-//	-max-timeout D   cap on client-requested budgets (default 4×timeout)
+//	-timeout D       default per-request budget (default 5s); a client
+//	                 may ask for up to 4× this
 //	-fuel N          default node-visit budget per fixpoint (0 = unlimited)
 //	-cache N         result-cache capacity in entries: identical
 //	                 (program, directives) requests replay their clean
@@ -52,13 +53,11 @@
 //	-journal-dir DIR write-ahead journal directory for ?job= submissions:
 //	                 jobs survive a crash-restart and resume without
 //	                 recomputing finished functions ("" disables jobs'
-//	                 durability; they remain resumable in-process)
-//	-job-ttl D       journaled jobs older than this are swept at boot
-//	                 (default 1h)
+//	                 durability; they remain resumable in-process);
+//	                 journals older than 1h are swept at boot
 //	-io-timeout D    deadline on every blocking filesystem operation on
 //	                 the durable paths — a stalled fsync errors out
 //	                 instead of wedging a worker (default 2s; 0 disables)
-//	-stream-heartbeat D  keep-alive cadence on NDJSON streams (default 10s)
 //	-verify          re-check every pass output on random interpreted runs
 //	-quarantine DIR  capture inputs that fault or fall back as .ir seeds
 //	                 ("" disables; default testdata/crashers)
@@ -69,10 +68,6 @@
 //	-chaos SPEC      TEST ONLY: inject service-level faults, e.g.
 //	                 "seed=7,latency=5ms:0.2,stall=50ms:0.05,panic=0.02,
 //	                 fault=0.1,corrupt=0.2" (see internal/chaos)
-//	-triage          maintenance mode: instead of serving, replay the
-//	                 quarantine directory, minimize and dedupe the
-//	                 crashers, promote one file per defect, then exit
-//	                 (see cmd/lcmtriage for the full triage CLI)
 //
 // The service wraps the hardened pass pipeline: every request runs under
 // its own deadline (threaded into each data-flow fixpoint), the
@@ -107,7 +102,6 @@ import (
 
 	"lazycm/internal/chaos"
 	"lazycm/internal/lcmserver"
-	"lazycm/internal/triage"
 )
 
 // splitPeers turns the -peers flag's comma-separated list into the
@@ -128,7 +122,6 @@ func main() {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "optimization worker pool size")
 	queue := fs.Int("queue", 0, "admission queue capacity (0 = 4×workers)")
 	timeout := fs.Duration("timeout", lcmserver.DefaultTimeout, "default per-request budget")
-	maxTimeout := fs.Duration("max-timeout", 0, "cap on client-requested budgets (0 = 4×timeout)")
 	fuel := fs.Int("fuel", 0, "default node-visit budget per fixpoint (0 = unlimited)")
 	cacheSize := fs.Int("cache", 0, "result-cache capacity in entries (0 = default, negative disables)")
 	cacheDir := fs.String("cache-dir", "", "durable cache directory (\"\" disables)")
@@ -136,30 +129,13 @@ func main() {
 	peers := fs.String("peers", "", "comma-separated fleet peer base URLs for cache fill (\"\" disables)")
 	peerTimeout := fs.Duration("peer-timeout", 0, "per-peer budget for one cache fetch (0 = 150ms)")
 	journalDir := fs.String("journal-dir", "", "write-ahead journal directory for resumable jobs (\"\" disables durability)")
-	jobTTL := fs.Duration("job-ttl", 0, "journaled jobs older than this are swept at boot (0 = 1h)")
 	ioTimeout := fs.Duration("io-timeout", 2*time.Second, "deadline per blocking filesystem operation on durable paths (0 disables)")
-	streamHeartbeat := fs.Duration("stream-heartbeat", 0, "keep-alive cadence on NDJSON streams (0 = 10s)")
 	verify := fs.Bool("verify", false, "re-check every pass output on random interpreted runs")
 	quarantine := fs.String("quarantine", "testdata/crashers", "directory for faulting inputs (\"\" disables)")
 	drain := fs.Duration("drain", 30*time.Second, "grace period for in-flight work on shutdown")
 	degradedFuel := fs.Int("degraded-fuel", 0, "fuel cap at degrade level 1+ (0 = default, negative disables)")
 	chaosSpec := fs.String("chaos", "", "TEST ONLY: service-level fault injection spec (see internal/chaos)")
-	triageMode := fs.Bool("triage", false, "promote the quarantine directory instead of serving")
 	_ = fs.Parse(os.Args[1:])
-
-	if *triageMode {
-		if *quarantine == "" {
-			log.Fatal("lcmd: -triage needs a -quarantine directory")
-		}
-		proms, err := triage.Promote(*quarantine, triage.PromoteOptions{
-			Logf: log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("lcmd: triage: %v", err)
-		}
-		log.Printf("lcmd: triage done, %d promotion(s) in %s", len(proms), *quarantine)
-		return
-	}
 
 	var injector *chaos.Injector
 	if *chaosSpec != "" {
@@ -172,24 +148,21 @@ func main() {
 	}
 
 	srv := lcmserver.NewServer(lcmserver.Config{
-		Workers:         *workers,
-		Queue:           *queue,
-		Timeout:         *timeout,
-		MaxTimeout:      *maxTimeout,
-		Fuel:            *fuel,
-		Verify:          *verify,
-		Quarantine:      *quarantine,
-		CacheSize:       *cacheSize,
-		CacheDir:        *cacheDir,
-		CacheBytes:      *cacheBytes,
-		Peers:           splitPeers(*peers),
-		PeerTimeout:     *peerTimeout,
-		JournalDir:      *journalDir,
-		JobTTL:          *jobTTL,
-		IOTimeout:       *ioTimeout,
-		StreamHeartbeat: *streamHeartbeat,
-		DegradedFuel:    *degradedFuel,
-		Chaos:           injector,
+		Workers:      *workers,
+		Queue:        *queue,
+		Timeout:      *timeout,
+		Fuel:         *fuel,
+		Verify:       *verify,
+		Quarantine:   *quarantine,
+		CacheSize:    *cacheSize,
+		CacheDir:     *cacheDir,
+		CacheBytes:   *cacheBytes,
+		Peers:        splitPeers(*peers),
+		PeerTimeout:  *peerTimeout,
+		JournalDir:   *journalDir,
+		IOTimeout:    *ioTimeout,
+		DegradedFuel: *degradedFuel,
+		Chaos:        injector,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

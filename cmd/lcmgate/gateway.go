@@ -26,14 +26,6 @@ type Config struct {
 	// Backends is the set of lcmd base URLs the gateway routes across.
 	// At least one is required.
 	Backends []string
-	// Vnodes is the per-backend virtual-node count on the hash ring;
-	// 0 means fleet.DefaultVnodes.
-	Vnodes int
-	// LoadFactor is the bounded-load placement factor: a backend stops
-	// receiving new placements while its in-flight count exceeds
-	// LoadFactor × the fleet average. <=1 disables the bound; 0 means
-	// DefaultLoadFactor.
-	LoadFactor float64
 	// AttemptTimeout bounds one backend attempt, so a partitioned
 	// backend costs one timeout, not the whole request budget. 0 means
 	// DefaultAttemptTimeout.
@@ -41,11 +33,6 @@ type Config struct {
 	// Timeout bounds one proxied request end to end, across every
 	// failover attempt. 0 means DefaultTimeout.
 	Timeout time.Duration
-	// StreamTimeout bounds one proxied NDJSON stream end to end. Streams
-	// are long-lived by design (heartbeats keep them open while a large
-	// job computes), so this is generous where Timeout is tight. 0 means
-	// DefaultStreamTimeout.
-	StreamTimeout time.Duration
 	// HealthInterval is the /readyz polling period per backend; 0 means
 	// DefaultHealthInterval, negative disables polling (tests drive
 	// breakers through traffic alone).
@@ -64,15 +51,18 @@ type Config struct {
 const (
 	// DefaultTimeout is the end-to-end budget for one proxied request.
 	DefaultTimeout = 10 * time.Second
-	// DefaultStreamTimeout is the end-to-end budget for one proxied
-	// NDJSON stream.
-	DefaultStreamTimeout = 5 * time.Minute
+	// streamTimeout bounds one proxied NDJSON stream end to end.
+	// Streams are long-lived by design (heartbeats keep them open while
+	// a large job computes), so this is generous where Timeout is tight.
+	streamTimeout = 5 * time.Minute
 	// DefaultAttemptTimeout is the per-backend attempt budget.
 	DefaultAttemptTimeout = 2 * time.Second
 	// DefaultHealthInterval is the /readyz polling period.
 	DefaultHealthInterval = 500 * time.Millisecond
-	// DefaultLoadFactor is the bounded-load placement factor.
-	DefaultLoadFactor = 1.25
+	// loadFactor is the bounded-load placement factor: a backend stops
+	// receiving new placements while its in-flight count exceeds
+	// loadFactor × the fleet average.
+	loadFactor = 1.25
 	// maxBody mirrors the backend's request-body cap so the gateway
 	// rejects oversized programs without spending a backend slot.
 	maxBody = 4 << 20
@@ -81,17 +71,11 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.LoadFactor == 0 {
-		c.LoadFactor = DefaultLoadFactor
-	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = DefaultAttemptTimeout
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
-	}
-	if c.StreamTimeout <= 0 {
-		c.StreamTimeout = DefaultStreamTimeout
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = DefaultHealthInterval
@@ -197,7 +181,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		ring:     fleet.NewRing(cfg.Vnodes),
+		ring:     fleet.NewRing(),
 		backends: make(map[string]*backend, len(cfg.Backends)),
 		draining: make(map[string]*backend),
 		client:   &http.Client{Transport: cfg.Transport},
@@ -410,8 +394,12 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
 	defer cancel()
 
+	// Placement hashes path and body only, so a module's plain and ?job=
+	// forms share one home backend. The query still reaches the backend,
+	// and it splits single-flight: a ?job= answer carries a job_id that
+	// a plain one does not.
 	ringKey, flightKey := requestKey(r.URL.Path, body)
-	res := g.deduped(ctx, r.URL.Path, body, ringKey, flightKey)
+	res := g.deduped(ctx, r.URL.RequestURI(), body, ringKey, flightKey+"?"+r.URL.RawQuery)
 	writeProxyResult(w, res)
 }
 
@@ -457,14 +445,10 @@ func (g *Gateway) handleStreamProxy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.received.Add(1)
-	path := r.URL.Path
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.StreamTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), streamTimeout)
 	defer cancel()
 	key, _ := requestKey(r.URL.Path, body)
-	if res := g.route(ctx, w, r.Method, path, body, key); res != nil {
+	if res := g.route(ctx, w, r.Method, r.URL.RequestURI(), body, key); res != nil {
 		writeProxyResult(w, res)
 	}
 }
@@ -531,7 +515,7 @@ func (g *Gateway) route(ctx context.Context, w http.ResponseWriter, method, path
 					g.logf("skip key=%016x backend=%s reason=not-ready degrade=%d", key, id, b.degrade.Load())
 					continue
 				}
-				if !fleet.WithinBound(b.inflight.Load(), g.totalInflight.Load(), members, g.cfg.LoadFactor) {
+				if !fleet.WithinBound(b.inflight.Load(), g.totalInflight.Load(), members, loadFactor) {
 					g.logf("skip key=%016x backend=%s reason=over-bound inflight=%d", key, id, b.inflight.Load())
 					continue
 				}

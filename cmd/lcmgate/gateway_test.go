@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -485,6 +487,77 @@ func TestGatewayBatchRouting(t *testing.T) {
 	}
 	if got, wantN := stripTimings(t, raw), stripTimings(t, want); got != wantN {
 		t.Errorf("batch bytes differ:\n gate: %s\nnode: %s", got, wantN)
+	}
+}
+
+// TestGatewayBatchJob: a ?job= batch through the gateway reaches its
+// backend with the query, so it runs as a resumable job — the answer
+// carries a job_id — and the job is then found through the gateway.
+func TestGatewayBatchJob(t *testing.T) {
+	_, _, gts := newFleet(t, 3, Config{})
+	module := diamond + strings.ReplaceAll(diamond, "func f", "func g")
+	code, _, raw := postRaw(t, gts.URL, "/optimize/batch?job=1", optBody(t, module))
+	if code != http.StatusOK {
+		t.Fatalf("gateway ?job= batch answered %d: %s", code, raw)
+	}
+	var out struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.JobID == "" {
+		t.Fatalf("?job= batch through the gateway carries no job_id: %s", raw)
+	}
+	resp, err := http.Get(gts.URL + "/jobs/" + out.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /jobs/%s through the gateway answered %d", out.JobID, resp.StatusCode)
+	}
+}
+
+// TestGatewayJobQuerySplitsSingleFlight: one body sent with and without
+// ?job= at the same time makes two backend calls, each with its own
+// query — the answers differ (only the job form has a job_id), so
+// neither may join the other.
+func TestGatewayJobQuerySplitsSingleFlight(t *testing.T) {
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var queries []string
+	gw, nodes, gts := newScriptedFleet(t, 1, Config{}, func(i int, w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		<-gate
+		writeGateJSON(w, http.StatusOK, map[string]any{"served_by": i, "query": r.URL.RawQuery})
+	})
+	// Released on failure too, so a request joined to the other one
+	// cannot wedge the servers' shutdown.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	body := optBody(t, diamond)
+	var wg sync.WaitGroup
+	for _, path := range []string{"/optimize/batch", "/optimize/batch?job=1"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			if code, _, raw := postRaw(t, gts.URL, path, body); code != http.StatusOK {
+				t.Errorf("%s answered %d: %s", path, code, raw)
+			}
+		}(path)
+	}
+	waitFor(t, func() bool { return nodes[0].hits.Load() == 2 })
+	release()
+	wg.Wait()
+	if joins := gw.dedupeJoins.Load(); joins != 0 {
+		t.Errorf("dedupe_joins = %d, want 0", joins)
+	}
+	sort.Strings(queries)
+	if want := []string{"", "job=1"}; !reflect.DeepEqual(queries, want) {
+		t.Errorf("backend saw queries %q, want %q", queries, want)
 	}
 }
 

@@ -25,6 +25,14 @@
 // ones drain their in-flight work, added ones start fresh.
 // /admin/reload replaces the whole set over HTTP.
 //
+// Placement is fixed: 512 virtual nodes per backend on the hash ring,
+// and a backend holding more than 1.25× the fleet average of in-flight
+// requests spills new placements to its next replica. A proxied NDJSON
+// stream may run 5 minutes end to end; every other proxied request gets
+// -timeout. The query string reaches the backend (a ?job= batch is a
+// resumable job), while placement hashes only path and body, so a
+// module's plain and ?job= forms share one home backend.
+//
 // Routing cannot change results: every backend computes byte-identical
 // output for the same request (see DESIGN.md §8), so failover and
 // dedupe are always safe.
@@ -52,10 +60,7 @@ func main() {
 		backendsFile   = flag.String("backends-file", "", "file with one backend URL per line; SIGHUP re-reads it")
 		attemptTimeout = flag.Duration("attempt-timeout", DefaultAttemptTimeout, "per-backend attempt budget")
 		timeout        = flag.Duration("timeout", DefaultTimeout, "end-to-end budget per proxied request")
-		streamTimeout  = flag.Duration("stream-timeout", DefaultStreamTimeout, "end-to-end budget per proxied NDJSON stream")
 		healthInterval = flag.Duration("health-interval", DefaultHealthInterval, "per-backend /readyz polling period")
-		vnodes         = flag.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per backend on the hash ring")
-		loadFactor     = flag.Float64("load-factor", DefaultLoadFactor, "bounded-load placement factor (<=1 disables)")
 		brkFailures    = flag.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = default)")
 		brkCooldown    = flag.Duration("breaker-cooldown", 0, "how long an open breaker refuses before probing (0 = default)")
 		brkProbes      = flag.Int("breaker-probes", 0, "successful half-open probes required to close (0 = default)")
@@ -88,11 +93,8 @@ func main() {
 
 	gw, err := NewGateway(Config{
 		Backends:       ids,
-		Vnodes:         *vnodes,
-		LoadFactor:     *loadFactor,
 		AttemptTimeout: *attemptTimeout,
 		Timeout:        *timeout,
-		StreamTimeout:  *streamTimeout,
 		HealthInterval: *healthInterval,
 		Breaker: fleet.BreakerConfig{
 			FailureThreshold: *brkFailures,

@@ -1,9 +1,9 @@
 // Package fleet holds the routing primitives behind cmd/lcmgate and
-// the multi-endpoint client: a consistent-hash ring with virtual nodes
-// and a bounded-load placement rule, and a per-backend circuit breaker.
-// Both are deliberately free of I/O — pure data structures over
-// injected observations — so every state transition is unit-testable
-// without a network.
+// lcmd's peer cache fill: a consistent-hash ring with a fixed 512
+// virtual nodes per member and a bounded-load placement rule, and a
+// per-backend circuit breaker. Both are deliberately free of I/O —
+// pure data structures over injected observations — so every state
+// transition is unit-testable without a network.
 //
 // LCM results are location-independent (the server's cache key is a
 // sha256 over program+directives), so the only thing placement buys is
@@ -24,11 +24,10 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is how many points each backend contributes to the ring
-// when NewRing is given a non-positive count. More vnodes means more
-// uniform ownership and finer-grained movement on membership change, at
-// O(members×vnodes) memory.
-const DefaultVnodes = 512
+// vnodes is how many points each member contributes to the ring. More
+// vnodes means more uniform ownership and finer-grained movement on
+// membership change, at O(members×vnodes) memory.
+const vnodes = 512
 
 // Ring is a consistent-hash ring with virtual nodes. Keys and points
 // live on a uint64 circle; a key is owned by the first point clockwise
@@ -37,7 +36,6 @@ const DefaultVnodes = 512
 // backend result caches warm across fleet resizes.
 type Ring struct {
 	mu      sync.RWMutex
-	vnodes  int
 	points  []point // sorted by hash
 	members map[string]bool
 }
@@ -47,26 +45,9 @@ type point struct {
 	id string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per
-// member (non-positive means DefaultVnodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	return &Ring{vnodes: vnodes, members: make(map[string]bool)}
-}
-
-// KeyOf hashes request-identifying strings onto the ring's circle.
-// sha256 rather than a cheap hash: routing keys come from request
-// bodies, and a well-mixed 64-bit prefix keeps ownership uniform for
-// adversarial as well as random inputs.
-func KeyOf(parts ...string) uint64 {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return binary.BigEndian.Uint64(h.Sum(nil)[:8])
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 func vnodeHash(id string, i int) uint64 {
@@ -83,7 +64,7 @@ func (r *Ring) Add(id string) {
 		return
 	}
 	r.members[id] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, point{vnodeHash(id, i), id})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].h < r.points[b].h })
@@ -105,17 +86,6 @@ func (r *Ring) Remove(id string) {
 		}
 	}
 	r.points = kept
-}
-
-// Members returns the current member set in unspecified order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.members))
-	for id := range r.members {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // Len reports the number of members.

@@ -1,20 +1,33 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
 
+// keyOf hashes strings onto the ring's circle (the first 8 bytes of
+// their sha256), giving tests well-mixed keys.
+func keyOf(parts ...string) uint64 {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return binary.BigEndian.Uint64(h.Sum(nil)[:8])
+}
+
 func testKeys(n int) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = KeyOf("key", fmt.Sprint(i))
+		keys[i] = keyOf("key", fmt.Sprint(i))
 	}
 	return keys
 }
 
 func ringOf(n int) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("http://backend-%d:8657", i))
 	}
@@ -124,7 +137,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // owner-first, and capped by membership.
 func TestRingPick(t *testing.T) {
 	r := ringOf(5)
-	key := KeyOf("some program", "lcm")
+	key := keyOf("some program", "lcm")
 	picks := r.Pick(key, 3)
 	if len(picks) != 3 {
 		t.Fatalf("Pick returned %d backends, want 3", len(picks))
@@ -148,7 +161,7 @@ func TestRingPick(t *testing.T) {
 	if got := r.Pick(key, 99); len(got) != 5 {
 		t.Errorf("Pick(99) returned %d backends, want all 5", len(got))
 	}
-	if got := NewRing(0).Pick(key, 2); got != nil {
+	if got := NewRing().Pick(key, 2); got != nil {
 		t.Errorf("empty ring picked %v", got)
 	}
 }

@@ -53,12 +53,6 @@ func Transform(f *ir.Function) (*Result, error) {
 	return TransformOpts(f, Options{})
 }
 
-// TransformFuel is Transform with a node-visit budget on the availability
-// analysis; 0 means unlimited.
-func TransformFuel(f *ir.Function, fuel int) (*Result, error) {
-	return TransformOpts(f, Options{Fuel: fuel})
-}
-
 // TransformOpts is Transform with full options (fuel and cancellation).
 func TransformOpts(f *ir.Function, o Options) (*Result, error) {
 	if err := f.Validate(); err != nil {

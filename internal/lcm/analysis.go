@@ -35,6 +35,7 @@
 package lcm
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -149,19 +150,13 @@ func Analyze(g *nodes.Graph) (*Analysis, error) {
 	return AnalyzeOpts(g, Options{})
 }
 
-// AnalyzeFuel computes all six predicates over g. A positive fuel bounds
-// each of the four data-flow problems to that many node visits; a problem
-// that fails to converge within the budget aborts the analysis with an
-// error wrapping dataflow.ErrFuelExhausted.
-func AnalyzeFuel(g *nodes.Graph, fuel int) (*Analysis, error) {
-	return AnalyzeOpts(g, Options{Fuel: fuel})
-}
-
-// AnalyzeOpts is Analyze with full options: o.Fuel bounds each data-flow
-// problem and o.Ctx, when non-nil, is polled at iteration boundaries so a
-// canceled or expired context aborts the analysis with an error wrapping
-// dataflow.ErrCanceled (o.Canonical is irrelevant here — the universe is
-// fixed by g).
+// AnalyzeOpts is Analyze with full options: a positive o.Fuel bounds
+// each of the four data-flow problems to that many node visits, and a
+// problem that fails to converge within it aborts the analysis with an
+// error wrapping dataflow.ErrFuelExhausted; o.Ctx, when non-nil, is
+// polled at iteration boundaries so a canceled or expired context aborts
+// the analysis with an error wrapping dataflow.ErrCanceled (o.Canonical
+// is irrelevant here — the universe is fixed by g).
 //
 // All four data-flow problems and the derived predicates share one
 // dataflow.Scratch (o.Scratch, or a run-private one): the traversal order
@@ -216,17 +211,8 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	//
 	// The two systems are independent — neither reads the other's
 	// solution — so they solve in parallel over the shared scratch.
-	var dsafeRes, usafeRes *dataflow.Result
+	var usafeRes *dataflow.Result
 	var grp conc.Group
-	grp.Go(func() error {
-		var err error
-		dsafeRes, err = dataflow.Solve(g, &dataflow.Problem{
-			Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
-			Width: w, Gen: g.Comp, Kill: notTransp,
-			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		})
-		return err
-	})
 	grp.Go(func() error {
 		var err error
 		usafeRes, err = dataflow.Solve(g, &dataflow.Problem{
@@ -236,7 +222,16 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		})
 		return err
 	})
-	if err := grp.Wait(); err != nil {
+	dsafeRes, dsafeErr := dataflow.Solve(g, &dataflow.Problem{
+		Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
+		Width: w, Gen: g.Comp, Kill: notTransp,
+		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
+	})
+	usafeErr := grp.Wait()
+	// Both solves run to completion, so when both fail (fuel starves
+	// both), down-safety's error is reported: a failed analysis names the
+	// same solve on every run, not whichever finished first.
+	if err := cmp.Or(dsafeErr, usafeErr); err != nil {
 		releaseRes(dsafeRes, usafeRes)
 		sc.Release(notTransp, usafeGen)
 		return nil, fmt.Errorf("lcm: %w", err)

@@ -427,10 +427,10 @@ func TestParseMode(t *testing.T) {
 
 func TestAnalyzeFuelExhaustion(t *testing.T) {
 	_, g, _ := prep(t, diamondSrc)
-	if _, err := AnalyzeFuel(g, 1); err == nil {
+	if _, err := AnalyzeOpts(g, Options{Fuel: 1}); err == nil {
 		t.Fatal("fuel 1 should exhaust on the diamond")
 	}
-	if _, err := AnalyzeFuel(g, 1<<20); err != nil {
+	if _, err := AnalyzeOpts(g, Options{Fuel: 1 << 20}); err != nil {
 		t.Fatalf("ample fuel: %v", err)
 	}
 }

@@ -111,20 +111,10 @@ type Options struct {
 	Scratch *dataflow.Scratch
 }
 
-// Analyze computes the edge-LCM predicates for f (which should already be
-// LCSE-normalized; Transform takes care of that).
-func Analyze(f *ir.Function) (*Analysis, error) {
-	return AnalyzeOpts(f, Options{})
-}
-
-// AnalyzeFuel is Analyze with a node-visit budget per data-flow problem
-// and the same budget (in block visits) on the LATER fixpoint; 0 means
-// unlimited.
-func AnalyzeFuel(f *ir.Function, fuel int) (*Analysis, error) {
-	return AnalyzeOpts(f, Options{Fuel: fuel})
-}
-
-// AnalyzeOpts is Analyze with full options (fuel and cancellation).
+// AnalyzeOpts computes the edge-LCM predicates for f (which should
+// already be LCSE-normalized; Transform takes care of that). A positive
+// o.Fuel bounds each data-flow problem in node visits and the LATER
+// fixpoint in block visits; 0 means unlimited.
 func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	fuel := o.Fuel
 	sc := o.Scratch

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -174,6 +175,13 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// url joins the server root and an endpoint path. A root given with a
+// trailing slash would otherwise send "//optimize", which lcmd's router
+// answers with a redirect that turns the POST into a GET.
+func (c *Client) url(path string) string {
+	return strings.TrimRight(c.BaseURL, "/") + path
+}
+
 func (c *Client) doSleep(ctx context.Context, d time.Duration) error {
 	if c.sleep != nil {
 		return c.sleep(ctx, d)
@@ -193,12 +201,7 @@ func (c *Client) doSleep(ctx context.Context, d time.Duration) error {
 // and the attempt number — reproducible for one request, decorrelated
 // across requests.
 func (c *Client) backoff(attempt int, req Request) time.Duration {
-	return backoffDur(c.BaseBackoff, c.MaxBackoff, attempt, req)
-}
-
-// backoffDur is the shared backoff schedule for the single- and
-// multi-endpoint clients.
-func backoffDur(base, maxB time.Duration, attempt int, req Request) time.Duration {
+	base, maxB := c.BaseBackoff, c.MaxBackoff
 	if base <= 0 {
 		base = DefaultBaseBackoff
 	}
@@ -284,7 +287,7 @@ func (c *Client) post(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, &TerminalError{Kind: "encode", Message: err.Error()}
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/optimize", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/optimize"), bytes.NewReader(body))
 	if err != nil {
 		return nil, &TerminalError{Kind: "request", Message: err.Error()}
 	}

@@ -55,48 +55,6 @@ type StreamOptions struct {
 	OnItem func(StreamItem)
 }
 
-// JobStatus is the GET /jobs/{id} snapshot.
-type JobStatus struct {
-	ID        string       `json:"id"`
-	Done      bool         `json:"done"`
-	Running   bool         `json:"running"`
-	Functions int          `json:"functions"`
-	Completed int          `json:"completed"`
-	Optimized int          `json:"optimized"`
-	FellBack  int          `json:"fell_back"`
-	Failed    int          `json:"failed"`
-	Results   []StreamItem `json:"results"`
-}
-
-// JobStatus fetches one job's progress snapshot. A 404 is terminal: the
-// job was never submitted here or has expired.
-func (c *Client) JobStatus(ctx context.Context, id string) (*JobStatus, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs/"+id, nil)
-	if err != nil {
-		return nil, &TerminalError{Kind: "request", Message: err.Error()}
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return nil, &retryableError{msg: fmt.Sprintf("transport: %v", err)}
-	}
-	defer hresp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hresp.Body, maxResponseBody))
-	if err != nil {
-		return nil, &retryableError{msg: fmt.Sprintf("reading response: %v", err)}
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return nil, &TerminalError{Status: hresp.StatusCode, Kind: "job", Message: string(raw)}
-	}
-	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, &retryableError{msg: fmt.Sprintf("malformed job status: %v", err)}
-	}
-	return &st, nil
-}
-
 // StreamBatch submits a module to POST /optimize/stream and consumes
 // the NDJSON response incrementally. With Resumable set, a connection
 // lost mid-stream (or a stream whose trailer reports the job unfinished
@@ -175,7 +133,7 @@ func (c *Client) streamOnce(ctx context.Context, req Request, opts StreamOptions
 	switch {
 	case resume && res.JobID != "":
 		res.Reconnects++
-		hreq, err = http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs/"+res.JobID+"/stream", nil)
+		hreq, err = http.NewRequestWithContext(ctx, http.MethodGet, c.url("/jobs/"+res.JobID+"/stream"), nil)
 	default:
 		path := "/optimize/stream"
 		if opts.Resumable {
@@ -185,7 +143,7 @@ func (c *Client) streamOnce(ctx context.Context, req Request, opts StreamOptions
 		if merr != nil {
 			return false, false, &TerminalError{Kind: "encode", Message: merr.Error()}
 		}
-		hreq, err = http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+		hreq, err = http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(body))
 		if hreq != nil {
 			hreq.Header.Set("Content-Type", "application/json")
 		}

@@ -211,30 +211,3 @@ func TestStreamBatchHonorsRetryAfterOnShed(t *testing.T) {
 		t.Errorf("calls = %v, want the resubmission to POST again (nothing to resume yet)", calls)
 	}
 }
-
-func TestJobStatusSnapshotAndMiss(t *testing.T) {
-	sc := &streamScript{steps: []step{
-		{status: 200, body: `{"id":"j-1","done":true,"functions":2,"completed":2,"optimized":2,"results":[{"index":0,"status":200,"program":"AAA"},{"index":1,"status":200,"program":"BBB"}]}`},
-		{status: 404, body: `{"error":"no such job","kind":"job"}`},
-	}}
-	ts := httptest.NewServer(sc.handler())
-	defer ts.Close()
-	c := newClient(ts, nil)
-
-	st, err := c.JobStatus(context.Background(), "j-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Done || st.Completed != 2 || len(st.Results) != 2 {
-		t.Errorf("snapshot %+v", st)
-	}
-	_, err = c.JobStatus(context.Background(), "j-gone")
-	var term *TerminalError
-	if !errors.As(err, &term) || term.Status != http.StatusNotFound {
-		t.Fatalf("err = %v, want terminal 404", err)
-	}
-	calls := sc.seen()
-	if len(calls) != 2 || calls[0] != "GET /jobs/j-1" {
-		t.Errorf("calls = %v", calls)
-	}
-}

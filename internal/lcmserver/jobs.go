@@ -24,9 +24,9 @@ import (
 	"lazycm/internal/vfs"
 )
 
-// DefaultJobTTL is how long an unfinished (or finished-but-unclaimed)
+// jobTTL is how long an unfinished (or finished-but-unclaimed)
 // journaled job survives across restarts before boot expires it.
-const DefaultJobTTL = time.Hour
+const jobTTL = time.Hour
 
 // journalExt names on-disk job journals; atomicio's *.tmp partials in
 // the same directory are swept at boot, so a crash mid-write can never
@@ -292,17 +292,13 @@ func appendJournalLine(f vfs.File, v any) {
 // jobStore registers live jobs by ID and owns the journal directory.
 type jobStore struct {
 	dir string
-	ttl time.Duration
 	fs  vfs.FS // the server's observed durable-path filesystem
 	mu  sync.Mutex
 	m   map[string]*jobState
 }
 
-func newJobStore(dir string, ttl time.Duration, fsys vfs.FS) *jobStore {
-	if ttl <= 0 {
-		ttl = DefaultJobTTL
-	}
-	return &jobStore{dir: dir, ttl: ttl, fs: fsys, m: make(map[string]*jobState)}
+func newJobStore(dir string, fsys vfs.FS) *jobStore {
+	return &jobStore{dir: dir, fs: fsys, m: make(map[string]*jobState)}
 }
 
 func (st *jobStore) get(id string) *jobState {
@@ -654,7 +650,7 @@ func (s *Server) bootJobs() []*jobState {
 		}
 		path := filepath.Join(st.dir, ent.Name())
 		hdr, items, finished, err := readJournal(st.fs, path)
-		if err != nil || time.Since(hdr.Created) > st.ttl {
+		if err != nil || time.Since(hdr.Created) > jobTTL {
 			st.fs.Remove(path)
 			s.jobsExpired.Add(1)
 			continue

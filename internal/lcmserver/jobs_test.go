@@ -493,7 +493,7 @@ func TestJobBootExpiryAndSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, ts := newTestServer(t, Config{JournalDir: jdir, JobTTL: time.Hour})
+	s, ts := newTestServer(t, Config{JournalDir: jdir})
 	if got := s.jobsExpired.Load(); got != 2 {
 		t.Errorf("jobs_expired = %d, want 2 (one stale, one undecodable)", got)
 	}

@@ -69,15 +69,6 @@ func TestOptimizeModuleMatchesFunctions(t *testing.T) {
 				}
 				want.Program = strings.Join(parts, "\n")
 			}
-			// Down- and up-safety are solved concurrently inside one
-			// function's run, so when fuel starves both, which of the two
-			// reports first is a race that has nothing to do with how the
-			// module is rendered; compare the diagnostics up to that name.
-			for _, d := range [][]string{got.Diagnostics, want.Diagnostics} {
-				for i := range d {
-					d[i] = strings.ReplaceAll(d[i], "dataflow: usafe:", "dataflow: dsafe:")
-				}
-			}
 			if code != wantCode || !reflect.DeepEqual(got, want) {
 				t.Errorf("module answer %d %+v\nwant %d %+v", code, got, wantCode, want)
 			}

@@ -40,7 +40,7 @@ const peerConsult = 2
 func newPeerGroup(cfg Config) *peerGroup {
 	pg := &peerGroup{
 		peers:   make(map[string]*fleet.Breaker),
-		ring:    fleet.NewRing(0),
+		ring:    fleet.NewRing(),
 		timeout: cfg.PeerTimeout,
 		consult: peerConsult,
 		client:  &http.Client{},

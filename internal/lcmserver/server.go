@@ -47,11 +47,10 @@ type Config struct {
 	// unboundedly.
 	Queue int
 	// Timeout is the per-request budget applied when the client does not
-	// ask for one; 0 means DefaultTimeout.
+	// ask for one; 0 means DefaultTimeout. A client may ask for up to
+	// maxTimeoutFactor × Timeout, so one client cannot park a worker
+	// indefinitely.
 	Timeout time.Duration
-	// MaxTimeout caps client-requested budgets (timeout_ms), so one
-	// client cannot park a worker indefinitely; 0 means 4×Timeout.
-	MaxTimeout time.Duration
 	// Fuel is the default node-visit budget per data-flow fixpoint;
 	// 0 means unlimited. A client may lower effort further per request.
 	Fuel int
@@ -100,12 +99,6 @@ type Config struct {
 	// the durable cache without recomputation. "" keeps jobs in-memory
 	// only (they still survive client disconnects, not process death).
 	JournalDir string
-	// JobTTL is how long a journaled job may age before boot expires it;
-	// 0 means DefaultJobTTL.
-	JobTTL time.Duration
-	// StreamHeartbeat is the keep-alive cadence on NDJSON streams while
-	// no item completes; 0 means DefaultStreamHeartbeat.
-	StreamHeartbeat time.Duration
 	// Chaos, when non-nil, injects service-level faults (latency, worker
 	// stalls, induced panics, buggy passes, cache corruption) into the
 	// request path. Test-only: never set it on a production server.
@@ -138,6 +131,10 @@ type Config struct {
 // configuration nor the client names one.
 const DefaultTimeout = 5 * time.Second
 
+// maxTimeoutFactor caps client-requested budgets at this multiple of
+// Config.Timeout.
+const maxTimeoutFactor = 4
+
 // maxBody bounds request bodies; a program larger than this is rejected
 // before any parsing work.
 const maxBody = 4 << 20
@@ -167,9 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 4 * c.Timeout
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
 	}
@@ -178,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DegradedFuel == 0 {
 		c.DegradedFuel = DefaultDegradedFuel
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = DefaultStreamHeartbeat
 	}
 	return c
 }
@@ -290,7 +281,7 @@ func NewServer(cfg Config) *Server {
 		atomicio.SweepTmpFS(s.fs, cfg.Quarantine)
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	s.jobStore = newJobStore(cfg.JournalDir, cfg.JobTTL, s.fs)
+	s.jobStore = newJobStore(cfg.JournalDir, s.fs)
 	resumable := s.bootJobs()
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -356,7 +347,7 @@ type optimizeRequest struct {
 	// when positive.
 	Fuel int `json:"fuel,omitempty"`
 	// TimeoutMS is the client's budget for this request in milliseconds;
-	// it is capped by the server's MaxTimeout. 0 means the server default.
+	// it is capped at 4× the server's Timeout. 0 means the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Verify opts this request into behavioural re-verification.
 	Verify bool `json:"verify,omitempty"`
@@ -504,14 +495,14 @@ func (s *Server) decodeOptimize(w http.ResponseWriter, r *http.Request, start ti
 }
 
 // budgetFor resolves the request's wall-clock budget: the server default
-// unless the client asks for less; client requests are capped so no
-// request parks a worker beyond MaxTimeout.
+// unless the client names one; client requests are capped so no request
+// parks a worker beyond maxTimeoutFactor × Timeout.
 func (s *Server) budgetFor(req optimizeRequest) time.Duration {
 	budget := s.cfg.Timeout
 	if req.TimeoutMS > 0 {
 		budget = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	return min(budget, s.cfg.MaxTimeout)
+	return min(budget, maxTimeoutFactor*s.cfg.Timeout)
 }
 
 // admit atomically reserves n queue slots, or none at all when fewer

@@ -8,9 +8,9 @@ import (
 	"lazycm/internal/overload"
 )
 
-// DefaultStreamHeartbeat is the keep-alive cadence on NDJSON streams
-// when Config.StreamHeartbeat is unset.
-const DefaultStreamHeartbeat = 10 * time.Second
+// streamHeartbeat is the keep-alive cadence on NDJSON streams while no
+// item completes.
+const streamHeartbeat = 10 * time.Second
 
 // streamMeta is the first NDJSON record of a stream: the job handle (ID
 // empty for a transient, non-resumable stream) and the item count.
@@ -104,7 +104,7 @@ func (s *Server) follow(w http.ResponseWriter, r *http.Request, js *jobState, st
 	if !write(streamMeta{Type: "job", ID: id, Functions: len(js.hdr.Funcs)}) {
 		return
 	}
-	ticker := time.NewTicker(s.cfg.StreamHeartbeat)
+	ticker := time.NewTicker(streamHeartbeat)
 	defer ticker.Stop()
 
 	emitted := 0

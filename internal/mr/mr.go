@@ -101,25 +101,14 @@ func (a *Analysis) Release() {
 	a.PPIn, a.PPOut, a.Insert, a.Delete = nil, nil, nil, nil
 }
 
-// Analyze computes MR's global predicates for f.
-func Analyze(f *ir.Function) (*Analysis, error) {
-	return AnalyzeOpts(f, Options{})
-}
-
-// AnalyzeFuel is Analyze with a node-visit budget per data-flow problem
-// and the same budget (in block visits) on the bidirectional
-// placement-possible fixpoint; 0 means unlimited. The bidirectional system
-// is exactly where a bound earns its keep: unlike the unidirectional
-// problems, its convergence argument is subtler, and a bug in the transfer
-// functions would otherwise spin forever.
-func AnalyzeFuel(f *ir.Function, fuel int) (*Analysis, error) {
-	return AnalyzeOpts(f, Options{Fuel: fuel})
-}
-
-// AnalyzeOpts is Analyze with full options. The same reasoning that makes
-// the bidirectional system the right place for a fuel bound makes it the
-// right place for cancellation: it is the most iteration-hungry fixpoint
-// in the tree, so o.Ctx is polled every sweep.
+// AnalyzeOpts computes MR's global predicates for f. A positive o.Fuel
+// bounds each data-flow problem in node visits and the bidirectional
+// placement-possible fixpoint in block visits; 0 means unlimited. The
+// bidirectional system is exactly where a bound earns its keep: unlike
+// the unidirectional problems, its convergence argument is subtler, and
+// a bug in the transfer functions would otherwise spin forever. The same
+// reasoning makes it the right place for cancellation: it is the most
+// iteration-hungry fixpoint in the tree, so o.Ctx is polled every sweep.
 func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	fuel := o.Fuel
 	sc := o.Scratch
@@ -315,11 +304,6 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 // Transform applies the MR transformation to a clone of f.
 func Transform(f *ir.Function) (*Result, error) {
 	return TransformOpts(f, Options{})
-}
-
-// TransformFuel is Transform with AnalyzeFuel's budget; 0 means unlimited.
-func TransformFuel(f *ir.Function, fuel int) (*Result, error) {
-	return TransformOpts(f, Options{Fuel: fuel})
 }
 
 // TransformOpts is Transform with full options (fuel and cancellation).
