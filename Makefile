@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke svcbench-smoke
+.PHONY: check fmt build vet test race svcbench-check fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke svcbench-smoke
 
 # Tier-1 gate: everything CI and pre-commit must hold.
-check: fmt build vet race
+check: fmt build vet race svcbench-check
 
 # Formatting gate: gofmt must have nothing to rewrite anywhere in the
 # tree, the nested svcbench module included.
@@ -21,6 +21,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The nested svcbench module builds against this checkout's lcmserver
+# and reads /healthz keys by name, so a change that breaks it must fail
+# here too, not only when the service benchmark runs.
+svcbench-check:
+	cd svcbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz pass over the parser, its equivalence with the reference
 # parsers it replaced, and the hardened pipeline. Each -fuzz pattern is

@@ -7,7 +7,9 @@
 // Endpoints:
 //
 //	POST /optimize        {"program": "...", "mode": "lcm", "timeout_ms": 500}
-//	                      → {"program": "...", "applied": [...], ...}
+//	                      → {"program": "...", "applied": [...], ...};
+//	                      a positive "fuel" bounds each fixpoint's node
+//	                      visits (the default is unlimited)
 //	POST /optimize/batch  whole-module optimization with per-function
 //	                      fault isolation: one result entry per function;
 //	                      with ?job= the batch becomes a resumable job
@@ -16,7 +18,9 @@
 //	                      as it completes, a heartbeat every 10s while
 //	                      none does, then a trailer with the aggregates;
 //	                      ?job= makes it resumable
-//	GET  /jobs/{id}        point-in-time job progress snapshot
+//	GET  /jobs/{id}        point-in-time job progress snapshot; a finished
+//	                      journal is read on its first lookup, and a
+//	                      function whose cache entry is gone reopens
 //	GET  /jobs/{id}/stream resume a job's stream: replay completed items,
 //	                      follow the rest
 //	GET  /healthz         pool and outcome counters; 503 while draining.
@@ -37,7 +41,6 @@
 //	                 one, widening into free slots as it fans out
 //	-timeout D       default per-request budget (default 5s); a client
 //	                 may ask for up to 4× this
-//	-fuel N          default node-visit budget per fixpoint (0 = unlimited)
 //	-cache N         result-cache capacity in entries: identical
 //	                 (program, directives) requests replay their clean
 //	                 outcome (default 128; negative disables)
@@ -56,8 +59,10 @@
 //	                 durability; they remain resumable in-process);
 //	                 journals older than 1h are swept at boot
 //	-io-timeout D    deadline on every blocking filesystem operation on
-//	                 the durable paths — a stalled fsync errors out
-//	                 instead of wedging a worker (default 2s; 0 disables)
+//	                 the durable paths, all of which go through one
+//	                 guard that also feeds the disk-health tracker — a
+//	                 stalled fsync errors out instead of wedging a
+//	                 worker (default 2s; 0 disables the deadline)
 //	-verify          re-check every pass output on random interpreted runs
 //	-quarantine DIR  capture inputs that fault or fall back as .ir seeds
 //	                 ("" disables; default testdata/crashers)
@@ -122,7 +127,6 @@ func main() {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "optimization worker pool size")
 	queue := fs.Int("queue", 0, "admission queue capacity (0 = 4×workers)")
 	timeout := fs.Duration("timeout", lcmserver.DefaultTimeout, "default per-request budget")
-	fuel := fs.Int("fuel", 0, "default node-visit budget per fixpoint (0 = unlimited)")
 	cacheSize := fs.Int("cache", 0, "result-cache capacity in entries (0 = default, negative disables)")
 	cacheDir := fs.String("cache-dir", "", "durable cache directory (\"\" disables)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "byte budget for -cache-dir (0 = 64MiB)")
@@ -151,7 +155,6 @@ func main() {
 		Workers:      *workers,
 		Queue:        *queue,
 		Timeout:      *timeout,
-		Fuel:         *fuel,
 		Verify:       *verify,
 		Quarantine:   *quarantine,
 		CacheSize:    *cacheSize,

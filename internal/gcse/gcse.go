@@ -22,6 +22,7 @@ import (
 	"lazycm/internal/ir"
 	"lazycm/internal/nodes"
 	"lazycm/internal/props"
+	"lazycm/internal/rewrite"
 )
 
 // Options tunes a transformation run.
@@ -83,7 +84,7 @@ func TransformOpts(f *ir.Function, o Options) (*Result, error) {
 		return nil, fmt.Errorf("gcse: %w", err)
 	}
 
-	res := &Result{F: clone, TempFor: make(map[ir.Expr]string), Stats: avail.Stats}
+	res := &Result{F: clone, Stats: avail.Stats}
 
 	// An expression is touched if any computation of it is fully
 	// redundant (available at its own node).
@@ -98,27 +99,8 @@ func TransformOpts(f *ir.Function, o Options) (*Result, error) {
 			}
 		}
 	}
-	used := make(map[string]bool)
-	for _, v := range clone.Vars() {
-		used[v] = true
-	}
-	tempName := make([]string, w)
-	next := 0
-	for e := range touched {
-		if !touched[e] {
-			continue
-		}
-		for {
-			cand := fmt.Sprintf("g%d", next)
-			next++
-			if !used[cand] {
-				tempName[e] = cand
-				used[cand] = true
-				res.TempFor[u.Expr(e)] = cand
-				break
-			}
-		}
-	}
+	var tempName []string
+	tempName, res.TempFor = rewrite.TempNamer(clone, u, touched, "g")
 
 	// Rewrite per block: replace computations where available, save where
 	// not. Iterating the node graph gives us the availability bit per

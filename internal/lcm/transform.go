@@ -10,6 +10,7 @@ import (
 	"lazycm/internal/ir"
 	"lazycm/internal/nodes"
 	"lazycm/internal/props"
+	"lazycm/internal/rewrite"
 )
 
 // Result is the outcome of a PRE transformation.
@@ -114,7 +115,7 @@ func TransformOpts(f *ir.Function, mode Mode, o Options) (*Result, error) {
 
 	res := &Result{
 		F: clone, Mode: mode, Analysis: a, Placement: p,
-		TempFor: make(map[ir.Expr]string), EdgesSplit: split,
+		EdgesSplit: split,
 	}
 	if err := apply(res, g, u); err != nil {
 		return nil, err
@@ -143,28 +144,8 @@ func apply(res *Result, g *nodes.Graph, u *props.Universe) error {
 		res.Placement.Insert.Row(id).ForEach(func(e int) { touched[e] = true })
 		res.Placement.Replace.Row(id).ForEach(func(e int) { touched[e] = true })
 	}
-	used := make(map[string]bool)
-	for _, v := range clone.Vars() {
-		used[v] = true
-	}
-	tempName := make([]string, u.Size())
-	next := 0
-	for e := range touched {
-		if !touched[e] {
-			continue
-		}
-		for {
-			cand := fmt.Sprintf("t%d", next)
-			next++
-			if !used[cand] {
-				tempName[e] = cand
-				used[cand] = true
-				res.TempFor[u.Expr(e)] = cand
-				break
-			}
-		}
-	}
-	needsTemp := func(e int) string { return tempName[e] }
+	var tempName []string
+	tempName, res.TempFor = rewrite.TempNamer(clone, u, touched, "t")
 
 	// Group insertions by block; record replacements per (block, index).
 	insertsByBlock := make(map[*ir.Block][]insertion)
@@ -219,7 +200,7 @@ func apply(res *Result, g *nodes.Graph, u *props.Universe) error {
 		if idx, found := u.Index(ie); !found || idx != e {
 			return fmt.Errorf("lcm: internal error: replacement expression mismatch at %s", in)
 		}
-		*in = ir.NewCopy(in.Dst, ir.Var(needsTemp(e)))
+		*in = ir.NewCopy(in.Dst, ir.Var(tempName[e]))
 		res.Replaced++
 	}
 
@@ -234,7 +215,7 @@ func apply(res *Result, g *nodes.Graph, u *props.Universe) error {
 		})
 		for _, c := range ins {
 			e := u.Expr(c.expr)
-			blk.InsertAt(c.pos, ir.NewBinOp(needsTemp(c.expr), e.Op, e.A, e.B))
+			blk.InsertAt(c.pos, ir.NewBinOp(tempName[c.expr], e.Op, e.A, e.B))
 			res.Inserted++
 		}
 	}

@@ -120,8 +120,8 @@ func TestCacheReplaysCleanResults(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health["cache_hits"] != float64(1) || health["cache_misses"] != float64(2) {
-		t.Errorf("healthz cache counters = %v/%v, want 1/2", health["cache_hits"], health["cache_misses"])
+	if health["fn_cache_hits"] != float64(1) || health["fn_cache_misses"] != float64(2) {
+		t.Errorf("healthz cache counters = %v/%v, want 1/2", health["fn_cache_hits"], health["fn_cache_misses"])
 	}
 }
 

@@ -70,7 +70,7 @@ func (c DiskHealthConfig) withDefaults() DiskHealthConfig {
 
 // diskHealth is the per-tier health tracker behind the self-quarantining
 // disk: every filesystem operation on a durable path reports its
-// outcome here (via vfs.Observe), a ring window measures the fault
+// outcome here (via vfs.Guard), a ring window measures the fault
 // rate, and sustained faults disable the tier — the disk cache skips
 // to memory+peer+compute, the journal refuses new persisted jobs —
 // until the background probe has seen the disk healthy ProbeAfter
@@ -105,7 +105,7 @@ func ioFault(err error) bool {
 	return err != nil && !errors.Is(err, iofs.ErrNotExist) && !errors.Is(err, iofs.ErrExist)
 }
 
-// record is the vfs.Observe callback: one outcome per filesystem
+// record is the vfs.Guard observer: one outcome per filesystem
 // operation on a durable path. It trips the breaker when the windowed
 // fault rate crosses the configured threshold with enough faults
 // present.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lazycm/internal/atomicio"
+	"lazycm/internal/cachestore"
 	"lazycm/internal/conc"
 	"lazycm/internal/ir"
 	"lazycm/internal/overload"
@@ -95,22 +96,18 @@ type jobState struct {
 	file    vfs.File        // open journal append handle
 	results map[int]outcome // completed items
 	order   []int           // completion order, what stream followers replay
-	// recorded maps journaled-but-unresolved clean items (known only by
-	// cache key after a restart) until adopt/drop resolves them.
-	recorded map[int]string
-	running  bool // a runner generation is driving pending items
-	done     bool
-	doneCh   chan struct{}
-	notify   chan struct{} // broadcast: closed+replaced on every state change
+	running bool            // a runner generation is driving pending items
+	done    bool
+	doneCh  chan struct{}
+	notify  chan struct{} // broadcast: closed+replaced on every state change
 }
 
 func newJobState(hdr jobHeader, persisted bool) *jobState {
 	return &jobState{
 		id: hdr.ID, hdr: hdr, persisted: persisted,
-		results:  make(map[int]outcome, len(hdr.Funcs)),
-		recorded: make(map[int]string),
-		doneCh:   make(chan struct{}),
-		notify:   make(chan struct{}),
+		results: make(map[int]outcome, len(hdr.Funcs)),
+		doneCh:  make(chan struct{}),
+		notify:  make(chan struct{}),
 	}
 }
 
@@ -134,15 +131,14 @@ func (js *jobState) complete(i int, out outcome, inlineClean bool) bool {
 }
 
 // record stores one item's outcome, appends rec (when non-nil) to the
-// journal, and finishes the job with its last item. A completion adopted
-// from the durable cache passes no rec: its record is already on disk.
+// journal, and finishes the job with its last item. A completion replayed
+// from the cache into a transient job passes no rec.
 // Duplicate completions are dropped, which is what guarantees an item is
 // journaled (and refunded, and counted) at most once no matter how many
 // followers or generations observe it.
 func (js *jobState) record(i int, out outcome, rec *jobRecord) bool {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	delete(js.recorded, i)
 	if _, dup := js.results[i]; dup {
 		return false
 	}
@@ -225,20 +221,15 @@ func (js *jobState) wait(ctx context.Context) bool {
 	}
 }
 
-// pendingIndexes lists items with neither a result nor a journaled
-// completion awaiting cache resolution.
+// pendingIndexes lists the items without a result.
 func (js *jobState) pendingIndexes() []int {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	var p []int
 	for i := range js.hdr.Funcs {
-		if _, ok := js.results[i]; ok {
-			continue
+		if _, ok := js.results[i]; !ok {
+			p = append(p, i)
 		}
-		if _, ok := js.recorded[i]; ok {
-			continue
-		}
-		p = append(p, i)
 	}
 	return p
 }
@@ -305,6 +296,13 @@ func (st *jobStore) get(id string) *jobState {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.m[id]
+}
+
+// validJobID reports whether id has deriveJobID's shape, "j-" and 16
+// lowercase hex digits: the only IDs a lookup may turn into a journal
+// file name.
+func validJobID(id string) bool {
+	return len(id) == 18 && strings.HasPrefix(id, "j-") && cachestore.ValidKey(id[2:])
 }
 
 // deriveJobID content-addresses a job: the same module under the same
@@ -433,10 +431,10 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	if persist {
 		hdr.ID = deriveJobID(hdr)
 		// Attach before admission: re-submitting an in-flight (or already
-		// finished) job must not admit — or shed — its work twice. A job
-		// loaded from a journal holds key-only records until resolved.
-		if js := s.jobStore.get(hdr.ID); js != nil {
-			s.resolveRecorded(js)
+		// finished) job must not admit — or shed — its work twice. An item
+		// whose journaled result the cache lost reopens, and the runner
+		// recomputes it.
+		if js := s.job(hdr.ID); js != nil {
 			s.ensureRunner(js)
 			return js, lvl
 		}
@@ -627,9 +625,9 @@ func readJournal(fsys vfs.FS, path string) (hdr jobHeader, items []jobRecord, fi
 }
 
 // bootJobs scans the journal directory at startup: sweep *.tmp
-// partials, expire journals past their TTL (and undecodable ones),
-// register finished jobs for GET /jobs serving, and return unfinished
-// ones for re-admission.
+// partials, expire journals past their TTL (and undecodable ones), and
+// load unfinished ones for re-admission. A finished journal stays on
+// disk until a lookup reads it (see job).
 func (s *Server) bootJobs() []*jobState {
 	st := s.jobStore
 	if st == nil || st.dir == "" {
@@ -655,52 +653,72 @@ func (s *Server) bootJobs() []*jobState {
 			s.jobsExpired.Add(1)
 			continue
 		}
-		js := newJobState(hdr, true)
-		js.path = path
-		for _, rec := range items {
-			if rec.Body != nil {
-				js.results[rec.Index] = outcome{status: rec.Status, body: *rec.Body}
-				js.order = append(js.order, rec.Index)
-			} else if rec.Key != "" {
-				js.recorded[rec.Index] = rec.Key
-			}
-		}
-		if finished {
-			js.done = true
-			close(js.doneCh)
-		}
-		st.mu.Lock()
-		st.m[hdr.ID] = js
-		st.mu.Unlock()
 		if !finished {
-			resumable = append(resumable, js)
+			resumable = append(resumable, s.loadJob(path, hdr, items))
 		}
 	}
 	return resumable
 }
 
-// resolveRecorded turns journaled clean completions back into served
-// results by reloading their bodies from the durable cache — the step
-// that makes a revived server answer already-computed functions without
-// recomputation. An entry the cache lost (or a server running without a
-// cache) drops the item back to pending, and it recomputes.
-func (s *Server) resolveRecorded(js *jobState) {
-	js.mu.Lock()
-	recorded := make(map[int]string, len(js.recorded))
-	for i, key := range js.recorded {
-		recorded[i] = key
-	}
-	js.mu.Unlock()
-	for i, key := range recorded {
-		if out, ok := s.cached(key); ok {
-			s.cacheHits.Add(1)
-			js.record(i, out, nil)
-		} else {
-			js.mu.Lock()
-			delete(js.recorded, i) // recomputes like any pending item
-			js.mu.Unlock()
+// loadJob builds a persisted job from its journal and registers it,
+// unless a job with its ID already is. Inlined outcomes are taken as
+// written and key-only records from the result cache — a replay, which
+// is what makes a revived server answer already-computed functions
+// without recomputation. A key the cache lost (evicted, corrupt, or
+// behind a quarantined disk tier) leaves its item pending, and it
+// recomputes. The job is done only when every item has a result. The
+// cache hits count once, for the copy that is registered.
+func (s *Server) loadJob(path string, hdr jobHeader, items []jobRecord) *jobState {
+	js := newJobState(hdr, true)
+	js.path = path
+	var hits int64
+	for _, rec := range items {
+		if _, dup := js.results[rec.Index]; dup {
+			continue
 		}
+		out := outcome{status: rec.Status}
+		switch {
+		case rec.Body != nil:
+			out.body = *rec.Body
+		case rec.Key == "":
+			continue
+		default:
+			var ok bool
+			if out, ok = s.cached(rec.Key); !ok {
+				continue
+			}
+			hits++
+		}
+		js.results[rec.Index] = out
+		js.order = append(js.order, rec.Index)
 	}
+	js.finishLocked() // not yet shared: no lock needed
+
+	st := s.jobStore
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if cur := st.m[js.id]; cur != nil {
+		return cur
+	}
+	st.m[js.id] = js
+	s.cacheHits.Add(hits)
+	return js
+}
+
+// job finds the persisted job id names: the registered one, else the
+// journal on disk, loaded and registered on first lookup. Only an ID of
+// deriveJobID's shape reaches the filesystem.
+func (s *Server) job(id string) *jobState {
+	st := s.jobStore
+	if js := st.get(id); js != nil || st.dir == "" || !validJobID(id) {
+		return js
+	}
+	path := filepath.Join(st.dir, id+journalExt)
+	hdr, items, _, err := readJournal(st.fs, path)
+	if err != nil || hdr.ID != id {
+		return nil
+	}
+	return s.loadJob(path, hdr, items)
 }
 
 // ensureRunner starts a runner generation for an unfinished job that
@@ -764,7 +782,6 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 	defer s.jobsActive.Add(-1)
 	defer js.settle()
 
-	s.resolveRecorded(js)
 	pending := js.pendingIndexes()
 	hdr := &js.hdr
 	// An /optimize (no budget to slice, no journal) feeds the pressure

@@ -12,6 +12,7 @@ import (
 
 	"lazycm/internal/vfs"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -327,6 +328,184 @@ func TestJobRebootAttachResolvesResults(t *testing.T) {
 	}
 	if b.requests.Load() != 0 {
 		t.Errorf("reboot attach admitted %d requests, want 0 (everything from the journal + cache)", b.requests.Load())
+	}
+}
+
+// rebootLosingEntry finishes jobsModule as a journaled stream job, takes
+// the server down, deletes one of the three durable cache entries, and
+// boots a second server over the same directories. It returns the
+// second server with the first run's assembled module.
+func rebootLosingEntry(t *testing.T, cfg Config) (*Server, *httptest.Server, string, string) {
+	t.Helper()
+	a := NewServer(cfg)
+	ats := httptest.NewServer(a.Handler())
+	meta, items, trailer := splitRecords(t, readStream(t, postStream(t, ats, optimizeRequest{Program: jobsModule}, true)))
+	ats.Close()
+	a.Close()
+	if !trailer.Done || len(items) != 3 {
+		t.Fatalf("first run: done=%v with %d items, want a finished 3-item job", trailer.Done, len(items))
+	}
+	entries := entryFiles(t, cfg.CacheDir)
+	if len(entries) != 3 {
+		t.Fatalf("first run left %d cache entries, want 3", len(entries))
+	}
+	if err := os.Remove(entries[1]); err != nil {
+		t.Fatal(err)
+	}
+	b, bts := newTestServer(t, cfg)
+	return b, bts, meta.ID, assembleItems(t, items, 3)
+}
+
+// TestJobRebootRecomputesLostEntry: a finished job whose journal names a
+// cache entry the cache no longer holds reopens that item when the job
+// is read back, so re-submitting recomputes exactly the lost function
+// and the answer is whole; a second re-submission attaches with no work.
+// Concurrent first lookups register one copy and count its hits once.
+func TestJobRebootRecomputesLostEntry(t *testing.T) {
+	cfg := Config{Workers: 2, Queue: 16, JournalDir: t.TempDir(), CacheDir: t.TempDir(), Quarantine: ""}
+	b, bts, id, want := rebootLosingEntry(t, cfg)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := bts.Client().Get(bts.URL + "/jobs/" + id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var snap jobSnapshot
+			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || resp.StatusCode != http.StatusOK ||
+				snap.Done || snap.Completed != 2 {
+				t.Errorf("GET /jobs: status %d done=%v completed=%d err=%v, want 200/false/2",
+					resp.StatusCode, snap.Done, snap.Completed, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := b.Stats(); st.CacheHits != 2 || st.Requests != 0 {
+		t.Fatalf("after concurrent lookups: hits/requests = %d/%d, want 2/0", st.CacheHits, st.Requests)
+	}
+
+	for attempt := 1; attempt <= 2; attempt++ {
+		meta, items, trailer := splitRecords(t, readStream(t, postStream(t, bts, optimizeRequest{Program: jobsModule}, true)))
+		if meta.ID != id {
+			t.Fatalf("attempt %d attached to job %q, want %q", attempt, meta.ID, id)
+		}
+		if !trailer.Done || trailer.Completed != 3 || len(items) != 3 {
+			t.Fatalf("attempt %d: done=%v completed=%d with %d items, want true/3/3",
+				attempt, trailer.Done, trailer.Completed, len(items))
+		}
+		if got := assembleItems(t, items, 3); got != want {
+			t.Errorf("attempt %d diverges:\n got: %q\nwant: %q", attempt, got, want)
+		}
+		st := b.Stats()
+		if st.Requests != 1 || st.CacheMisses != 1 || st.CacheHits != 2 {
+			t.Errorf("attempt %d: requests/misses/hits = %d/%d/%d, want 1/1/2 (only the lost function recomputes, once)",
+				attempt, st.Requests, st.CacheMisses, st.CacheHits)
+		}
+	}
+}
+
+// TestJobLookupWithDiskQuarantined: a journal read back while the disk
+// tier is quarantined cannot resolve any key-only record, so every item
+// reopens and recomputes instead of the job answering done with holes.
+func TestJobLookupWithDiskQuarantined(t *testing.T) {
+	cfg := Config{
+		Workers: 2, Queue: 16, JournalDir: t.TempDir(), CacheDir: t.TempDir(), Quarantine: "",
+		DiskHealth: DiskHealthConfig{ProbeInterval: time.Hour},
+	}
+	b, bts, id, want := rebootLosingEntry(t, cfg)
+	b.diskHealth.disabled.Store(true)
+
+	code, snap := getJob(t, bts, id)
+	if code != http.StatusOK || snap.Done || snap.Completed != 0 {
+		t.Fatalf("GET /jobs while quarantined: status %d done=%v completed=%d, want 200/false/0", code, snap.Done, snap.Completed)
+	}
+	_, items, trailer := splitRecords(t, readStream(t, postStream(t, bts, optimizeRequest{Program: jobsModule}, true)))
+	if !trailer.Done || trailer.Completed != 3 {
+		t.Fatalf("attach while quarantined: done=%v completed=%d, want true/3", trailer.Done, trailer.Completed)
+	}
+	if got := assembleItems(t, items, 3); got != want {
+		t.Errorf("attach while quarantined diverges:\n got: %q\nwant: %q", got, want)
+	}
+	if st := b.Stats(); st.Requests != 3 || st.CacheHits != 0 {
+		t.Errorf("requests/hits = %d/%d, want 3/0 (nothing resolvable behind a quarantined tier)", st.Requests, st.CacheHits)
+	}
+}
+
+// lookupFS records every path the server reads or opens.
+type lookupFS struct {
+	vfs.FS
+	mu    sync.Mutex
+	names []string
+}
+
+func (l *lookupFS) note(name string) {
+	l.mu.Lock()
+	l.names = append(l.names, name)
+	l.mu.Unlock()
+}
+
+func (l *lookupFS) seen() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.names...)
+}
+
+func (l *lookupFS) ReadFile(name string) ([]byte, error) {
+	l.note(name)
+	return l.FS.ReadFile(name)
+}
+
+func (l *lookupFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	l.note(name)
+	return l.FS.OpenFile(name, flag, perm)
+}
+
+// TestJobLookupRejectsMalformedID: a job ID that does not have
+// deriveJobID's shape answers 404 without touching the filesystem, so a
+// client-chosen ID can never name a file outside the journal directory.
+func TestJobLookupRejectsMalformedID(t *testing.T) {
+	jdir := t.TempDir()
+	fsys := &lookupFS{FS: vfs.OS}
+	s, ts := newTestServer(t, Config{JournalDir: jdir, FS: fsys, Quarantine: ""})
+	boot := len(fsys.seen())
+
+	for _, id := range []string{
+		"nope", "j-", "j-0123456789abcde", "j-0123456789abcdef0", "j-0123456789ABCDEF",
+		"j-0123456789abcdeg", "k-0123456789abcdef", "..", "..%2F..%2Fj-0123456789abcdef",
+	} {
+		for _, suffix := range []string{"", "/stream"} {
+			resp, err := ts.Client().Get(ts.URL + "/jobs/" + id + suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET /jobs/%s%s = %d, want 404", id, suffix, resp.StatusCode)
+			}
+		}
+	}
+	for _, id := range []string{"../j-0123456789abcdef", "j-0123456789abcdef/../x", "/etc/passwd"} {
+		if js := s.job(id); js != nil {
+			t.Errorf("job(%q) found a job", id)
+		}
+	}
+	if got := fsys.seen()[boot:]; len(got) != 0 {
+		t.Errorf("malformed lookups touched the filesystem: %q", got)
+	}
+
+	// A well-formed unknown ID is looked for in the journal directory,
+	// and only there.
+	if code, _ := getJob(t, ts, "j-0123456789abcdef"); code != http.StatusNotFound {
+		t.Errorf("unknown well-formed ID answered %d, want 404", code)
+	}
+	want := filepath.Join(jdir, "j-0123456789abcdef"+journalExt)
+	if got := fsys.seen()[boot:]; len(got) != 1 || got[0] != want {
+		t.Errorf("well-formed lookup read %q, want [%s]", got, want)
 	}
 }
 

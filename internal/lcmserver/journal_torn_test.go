@@ -87,19 +87,18 @@ func TestJournalTornWriteEveryPrefix(t *testing.T) {
 			continue
 		}
 
-		js := s.jobStore.get(jobID)
+		js := s.job(jobID)
 		if js == nil {
 			t.Fatalf("cut=%d: journal with intact header lost its job", cut)
 		}
 		// A prefix without the done marker resumes at boot; wait for that
 		// generation (it resolves everything from the durable cache). A
-		// prefix with the marker is done already — resolve like GET /jobs.
+		// prefix with the marker is loaded by the lookup, like GET /jobs.
 		select {
 		case <-js.doneCh:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("cut=%d: resumed job did not finish — boot wedged", cut)
 		}
-		s.resolveRecorded(js)
 
 		js.mu.Lock()
 		results := make(map[int]outcome, len(js.results))

@@ -78,7 +78,7 @@ func TestReadyz(t *testing.T) {
 // only; the peers map, keyed by a random port, is checked for its one
 // peer's breaker state.
 func TestHealthWireGolden(t *testing.T) {
-	const healthz = `{"cache_corrupt":0,"cache_entries":1,"cache_hits":0,"cache_misses":1,` +
+	const healthz = `{"cache_corrupt":0,"cache_entries":1,` +
 		`"canceled":0,"corrupt_dropped":0,"degrade_level":0,"degrade_transitions":0,` +
 		`"disk_bytes":0,"disk_disable_transitions":0,"disk_disabled":false,"disk_entries":0,` +
 		`"disk_faults_read":0,"disk_faults_rename":0,"disk_faults_sync":0,"disk_faults_write":0,` +

@@ -51,9 +51,6 @@ type Config struct {
 	// maxTimeoutFactor × Timeout, so one client cannot park a worker
 	// indefinitely.
 	Timeout time.Duration
-	// Fuel is the default node-visit budget per data-flow fixpoint;
-	// 0 means unlimited. A client may lower effort further per request.
-	Fuel int
 	// Verify re-checks every pass output against its input on random
 	// interpreted runs (requests may also opt in individually).
 	Verify bool
@@ -109,7 +106,7 @@ type Config struct {
 	// the storage lie underneath a live server.
 	FS vfs.FS
 	// IOTimeout bounds every single blocking filesystem operation on
-	// the durable paths (vfs.WithTimeout): a stalled fsync returns an
+	// the durable paths (vfs.Guard): a stalled fsync returns an
 	// error to its caller instead of wedging a request goroutine. 0
 	// disables the deadline (production filesystems are trusted not to
 	// stall forever; soaks always set it).
@@ -191,10 +188,10 @@ type Server struct {
 	ladder *overload.Ladder
 	gauge  *overload.Gauge
 
-	// fs is the observed filesystem every durable path uses: the
+	// fs is the guarded filesystem every durable path uses: the
 	// configured FS (or vfs.OS), deadline-bounded by IOTimeout, with
-	// every outcome reported to diskHealth. rawFS is the same stack
-	// minus the observer — the background probe uses it so probe
+	// every outcome reported to diskHealth. rawFS is the same guard
+	// without the observer — the background probe uses it so probe
 	// traffic never pollutes the live fault window.
 	fs         vfs.FS
 	rawFS      vfs.FS
@@ -248,16 +245,17 @@ func NewServer(cfg Config) *Server {
 		gauge:      overload.NewGauge(cfg.Timeout/4, 0),
 		diskHealth: newDiskHealth(cfg.DiskHealth),
 	}
-	// The durable-path filesystem stack, bottom to top: the configured
-	// FS (production: the real OS; soaks: a FaultFS), an IO deadline so
-	// no single stalled operation wedges a goroutine, and the health
-	// observer feeding the self-quarantining tracker.
+	// The durable-path filesystem: the configured FS (production: the
+	// real OS; soaks: a FaultFS) under one guard that bounds every
+	// operation with the IO deadline, so no single stalled operation
+	// wedges a goroutine, and reports its outcome to the
+	// self-quarantining health tracker.
 	base := cfg.FS
 	if base == nil {
 		base = vfs.OS
 	}
-	s.rawFS = vfs.WithTimeout(base, cfg.IOTimeout)
-	s.fs = vfs.Observe(s.rawFS, s.diskHealth.record)
+	s.fs = vfs.Guard(base, cfg.IOTimeout, s.diskHealth.record)
+	s.rawFS = vfs.Guard(base, cfg.IOTimeout, nil)
 	if cfg.Chaos != nil && s.cache != nil {
 		// Chaos corrupts cached programs on their way out; the cache's
 		// integrity checksum is what must catch it.
@@ -343,8 +341,8 @@ type optimizeRequest struct {
 	// Mode is the transformation to apply (lcm, alcm, bcm, mr, gcse, sr,
 	// opt); empty means lcm.
 	Mode string `json:"mode,omitempty"`
-	// Fuel overrides the server's default node-visit budget per fixpoint
-	// when positive.
+	// Fuel bounds each fixpoint to this many node visits when positive;
+	// otherwise fixpoints are unlimited.
 	Fuel int `json:"fuel,omitempty"`
 	// TimeoutMS is the client's budget for this request in milliseconds;
 	// it is capped at 4× the server's Timeout. 0 means the server default.
@@ -666,7 +664,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	st := s.Stats()
 	writeJSON(w, code, struct {
 		Status        string `json:"status"`
 		Workers       int    `json:"workers"`
@@ -682,14 +679,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QuarantineWritable bool              `json:"quarantine_writable"`
 		Peers              map[string]string `json:"peers,omitempty"`
 		Stats
-		// cache_hits and cache_misses repeat fn_cache_hits and
-		// fn_cache_misses; the solver keys were retired with the
-		// word-sliced and sparse solvers and are always 0. All four stay
-		// only because README and svcbench read them.
-		HitsAlias            int64 `json:"cache_hits"`
-		MissesAlias          int64 `json:"cache_misses"`
-		SolverParallelSlices int   `json:"solver_parallel_slices"`
-		SolverSparseSkips    int   `json:"solver_sparse_skips"`
+		// The solver keys were retired with the word-sliced and sparse
+		// solvers and are always 0; they stay only because svcbench
+		// reads them.
+		SolverParallelSlices int `json:"solver_parallel_slices"`
+		SolverSparseSkips    int `json:"solver_sparse_skips"`
 	}{
 		Status:             status,
 		Workers:            s.cfg.Workers,
@@ -701,9 +695,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		LatencyEWMAMS:      s.gauge.EWMA().Milliseconds(),
 		QuarantineWritable: s.quarantineWritable(),
 		Peers:              s.peers.states(),
-		Stats:              st,
-		HitsAlias:          st.CacheHits,
-		MissesAlias:        st.CacheMisses,
+		Stats:              s.Stats(),
 	})
 }
 
@@ -1139,14 +1131,9 @@ func (s *Server) quarantine(req optimizeRequest, fuel int, verify bool) string {
 }
 
 // effectiveFuel resolves a request's undegraded fixpoint budget: the
-// client's when positive, else the server default. Cache keys use it;
-// at degrade level 1+ the request runs under a cap (optionsFor).
-func (s *Server) effectiveFuel(req optimizeRequest) int {
-	if req.Fuel > 0 {
-		return req.Fuel
-	}
-	return s.cfg.Fuel
-}
+// client's when positive, else 0 (unlimited). Cache keys use it; at
+// degrade level 1+ the request runs under a cap (optionsFor).
+func (s *Server) effectiveFuel(req optimizeRequest) int { return max(req.Fuel, 0) }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")

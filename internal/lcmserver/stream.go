@@ -142,18 +142,15 @@ type jobSnapshot struct {
 	Results []streamItem `json:"results,omitempty"`
 }
 
-// lookupJob finds the job a GET /jobs request names, with its journaled
-// completions resolved, or answers 404. Unknown IDs (never submitted,
-// or expired at boot) are authoritative 404s — at fleet scope the
-// gateway walks replicas on 404, since a job lives only on the backend
-// that admitted it.
+// lookupJob finds the job a GET /jobs request names, or answers 404.
+// Unknown IDs (never submitted, expired at boot, or malformed) are
+// authoritative 404s — at fleet scope the gateway walks replicas on
+// 404, since a job lives only on the backend that admitted it.
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *jobState {
-	js := s.jobStore.get(r.PathValue("id"))
+	js := s.job(r.PathValue("id"))
 	if js == nil {
 		writeJSON(w, http.StatusNotFound, optimizeResponse{Error: "no such job", Kind: "job"})
-		return nil
 	}
-	s.resolveRecorded(js)
 	return js
 }
 

@@ -38,7 +38,7 @@ type Window struct {
 	SyncErrProb float64
 	SyncErr     error
 	// SyncStallProb delays File.Sync by SyncStall before it proceeds —
-	// the multi-second-fsync case. Bounded by WithTimeout when the
+	// the multi-second-fsync case. Bounded by Guard's deadline when the
 	// caller stacked one above this FS.
 	SyncStallProb float64
 	SyncStall     time.Duration
@@ -54,7 +54,7 @@ type Window struct {
 	RemoveErr     error
 	// StallProb delays ReadFile, Rename, and Remove by Stall before
 	// they proceed (generic disk latency). Operations that write into
-	// caller-owned buffers are never stalled — see WithTimeout.
+	// caller-owned buffers are never stalled — see Guard.
 	StallProb float64
 	Stall     time.Duration
 }

@@ -4,17 +4,12 @@
 // their file IO through the FS interface instead of calling the os
 // package directly.
 //
-// Production uses OS, a zero-cost passthrough to the real filesystem,
-// so behavior is unchanged. Tests wrap it:
-//
-//   - FaultFS injects deterministic, seeded storage faults (ENOSPC,
-//     EIO, EROFS, short writes, torn renames, fsync stalls) inside
-//     togglable fault windows.
-//   - WithTimeout bounds every potentially blocking operation with an
-//     IO deadline so a stalled fsync cannot wedge a request goroutine.
-//   - Observe reports every operation outcome to a callback, which is
-//     how the server's disk-health tracker sees fault rates without
-//     any of the durable layers knowing about it.
+// The production stack is Guard over OS: OS passes straight through to
+// the real filesystem, and Guard bounds every blocking operation with
+// the IO deadline and reports each outcome to the server's disk-health
+// tracker. Tests put FaultFS under the guard instead of OS: it injects
+// deterministic, seeded storage faults (ENOSPC, EIO, EROFS, short
+// writes, torn renames, fsync stalls) inside togglable fault windows.
 //
 // The interface is deliberately minimal: exactly the operations the
 // durable paths use, nothing more.

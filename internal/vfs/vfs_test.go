@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -233,7 +234,7 @@ func TestObserve(t *testing.T) {
 	dir := t.TempDir()
 	var faults [NumClasses]int
 	var ok [NumClasses]int
-	fsys := Observe(OS, func(op Op, err error) {
+	fsys := Guard(OS, 0, func(op Op, err error) {
 		if err != nil {
 			faults[op.Class()]++
 		} else {
@@ -267,7 +268,7 @@ func TestObserve(t *testing.T) {
 func TestWithTimeout(t *testing.T) {
 	dir := t.TempDir()
 	fault := NewFaultFS(OS, 7)
-	fsys := WithTimeout(fault, 50*time.Millisecond)
+	fsys := Guard(fault, 50*time.Millisecond, nil)
 
 	f, err := fsys.OpenFile(filepath.Join(dir, "f"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -295,7 +296,69 @@ func TestWithTimeout(t *testing.T) {
 	}
 
 	// d <= 0 is the identity.
-	if got := WithTimeout(OS, 0); got != OS {
-		t.Fatalf("WithTimeout(OS, 0) must return the inner FS")
+	if got := Guard(OS, 0, nil); got != OS {
+		t.Fatalf("Guard(OS, 0, nil) must return the inner FS")
+	}
+}
+
+// TestGuardReportsTimeouts proves the composition the server relies on:
+// an operation the deadline cuts reaches the observer as a fault of its
+// class, before the caller sees it, while a read that ends at EOF
+// reports nothing.
+func TestGuardReportsTimeouts(t *testing.T) {
+	dir := t.TempDir()
+	fault := NewFaultFS(OS, 7)
+	type report struct {
+		op  Op
+		err error
+	}
+	var seen []report
+	fsys := Guard(fault, 50*time.Millisecond, func(op Op, err error) {
+		seen = append(seen, report{op, err})
+	})
+
+	p := filepath.Join(dir, "f")
+	f, err := fsys.OpenFile(p, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	seen = nil
+	fault.SetWindow(Window{SyncStallProb: 1, SyncStall: 2 * time.Second})
+	start := time.Now()
+	err = f.Sync()
+	elapsed := time.Since(start)
+	fault.SetWindow(Window{})
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stalled Sync = %v, want ErrTimeout", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("stalled Sync took %v — deadline did not bound it", elapsed)
+	}
+	if len(seen) != 1 || seen[0].op != OpSync || !errors.Is(seen[0].err, ErrTimeout) {
+		t.Fatalf("observer saw %v, want one (sync, ErrTimeout)", seen)
+	}
+	if c := seen[0].op.Class(); c != ClassSync {
+		t.Fatalf("timed-out sync folds into class %v, want sync", c)
+	}
+	f.Close()
+
+	r, err := fsys.OpenFile(p, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	seen = nil
+	buf := make([]byte, 8)
+	if n, err := r.Read(buf); n != 1 || err != nil {
+		t.Fatalf("Read = %d, %v; want 1, nil", n, err)
+	}
+	if _, err := r.Read(buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("Read at end = %v, want io.EOF", err)
+	}
+	if len(seen) != 1 || seen[0].op != OpRead || seen[0].err != nil {
+		t.Fatalf("observer saw %v, want only the successful read (EOF is not reported)", seen)
 	}
 }
