@@ -235,3 +235,41 @@ func BenchmarkWarmStart(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkUnitBuild is the unit build of an eight-function medium
+// module: /optimize's strict cut and batch's loose split, each with
+// every chunk in the alias (hit) and with the alias off, so every chunk
+// is strictly parsed and printed (miss). Both hash every cache key.
+func BenchmarkUnitBuild(b *testing.B) {
+	module := benchModule(b, 8)
+	req := optimizeRequest{Program: module, Mode: "lcm"}
+	for _, view := range []string{"optimize", "batch"} {
+		for _, alias := range []string{"hit", "miss"} {
+			b.Run(view+"/"+alias, func(b *testing.B) {
+				s := NewServer(Config{Workers: 1})
+				defer s.Close()
+				if alias == "miss" {
+					s.alias = nil
+				}
+				build := func() {
+					var mod *textir.Module
+					if view == "batch" {
+						var err error
+						if mod, err = textir.ParseModule(module); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if units := s.unitsFor(req, mod, false); len(units) != 8 || units[7].perr != nil {
+						b.Fatalf("built %d units", len(units))
+					}
+				}
+				build()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
+				}
+			})
+		}
+	}
+}

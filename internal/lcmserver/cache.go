@@ -30,10 +30,8 @@ import (
 // back into memory. Every failure on the disk path falls open to a
 // miss — the durable tier can make requests faster, never wrong.
 type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
+	mu  sync.Mutex
+	mem lru[string, cacheEntry]
 
 	// disk, when non-nil, is the durable tier consulted on memory miss
 	// and written through on every put. diskGate, when non-nil, is
@@ -54,7 +52,6 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key string
 	out outcome
 	// sum is the integrity checksum of out.body.Program taken at store
 	// time. A cached result is replayed verbatim possibly much later; the
@@ -70,7 +67,7 @@ func newResultCache(max int) *resultCache {
 	if max <= 0 {
 		return nil
 	}
-	return &resultCache{max: max, ll: list.New(), byKey: make(map[string]*list.Element, max)}
+	return &resultCache{mem: newLRU[string, cacheEntry](max)}
 }
 
 // cacheKey hashes everything that determines an optimization outcome:
@@ -139,20 +136,17 @@ func (c *resultCache) get(key string) (out outcome, ok, corrupted bool) {
 		return outcome{}, false, false
 	}
 	c.mu.Lock()
-	if el, found := c.byKey[key]; found {
-		ent := el.Value.(*cacheEntry)
+	if ent, found := c.mem.get(key); found {
 		if c.corrupt != nil {
 			if p, did := c.corrupt(ent.out.body.Program); did {
 				ent.out.body.Program = p
 			}
 		}
 		if sha256.Sum256([]byte(ent.out.body.Program)) != ent.sum {
-			c.ll.Remove(el)
-			delete(c.byKey, key)
+			c.mem.remove(key)
 			c.mu.Unlock()
 			return outcome{}, false, true
 		}
-		c.ll.MoveToFront(el)
 		out = ent.out
 		c.mu.Unlock()
 		return out, true, false
@@ -212,18 +206,7 @@ func (c *resultCache) putMem(key string, out outcome) {
 	sum := sha256.Sum256([]byte(out.body.Program))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.out, ent.sum = out, sum
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, out: out, sum: sum})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
+	c.mem.put(key, cacheEntry{out: out, sum: sum})
 }
 
 // len reports the number of cached outcomes in memory.
@@ -233,5 +216,56 @@ func (c *resultCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.mem.len()
 }
+
+// lru is a map bounded to max entries that evicts its least recently
+// used entry. Its owner locks around it.
+type lru[K comparable, V any] struct {
+	max int
+	ll  *list.List // of *lruItem[K, V]; front = most recently used
+	m   map[K]*list.Element
+}
+
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](max int) lru[K, V] {
+	return lru[K, V]{max: max, ll: list.New(), m: make(map[K]*list.Element, max)}
+}
+
+// get returns the value stored under key, now the most recently used.
+// The value may be updated in place.
+func (c *lru[K, V]) get(key K) (*V, bool) {
+	el, ok := c.m[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return &el.Value.(*lruItem[K, V]).val, true
+}
+
+// put stores val under key as the most recently used entry, evicting the
+// least recently used beyond max.
+func (c *lru[K, V]) put(key K, val V) {
+	if el, ok := c.m[key]; ok {
+		el.Value.(*lruItem[K, V]).val = val
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.m[key] = c.ll.PushFront(&lruItem[K, V]{key, val})
+	for c.ll.Len() > c.max {
+		c.remove(c.ll.Back().Value.(*lruItem[K, V]).key)
+	}
+}
+
+func (c *lru[K, V]) remove(key K) {
+	if el, ok := c.m[key]; ok {
+		c.ll.Remove(el)
+		delete(c.m, key)
+	}
+}
+
+func (c *lru[K, V]) len() int { return c.ll.Len() }

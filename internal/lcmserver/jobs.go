@@ -44,9 +44,10 @@ type jobUnit struct {
 	Src  string `json:"src"`
 
 	// fn is the function parsed at submit, or perr the strict parser's
-	// verdict on Src, so a worker never parses or prints its input.
-	// Neither survives the journal: the runner re-parses a unit read
-	// back at boot. fn is released once the unit's item completes.
+	// verdict on Src. A unit taken from the chunk alias or read back from
+	// a journal carries neither: its worker parses Src only once every
+	// cache tier has missed. fn is released once the unit's item
+	// completes.
 	fn   *ir.Function
 	perr error
 }
@@ -350,46 +351,116 @@ const (
 	viewStream
 )
 
-// unitFor turns one parsed function into a job unit: its canonical
-// print is both the unit's source and what the function-granular cache
-// key hashes, so single, batch and stream requests share entries.
-func (s *Server) unitFor(req optimizeRequest, f *ir.Function, verify bool) jobUnit {
-	u := jobUnit{Name: f.Name, Src: f.String(), fn: f}
+// unitFor builds the unit of one function chunk. A chunk the alias
+// holds takes its name and canonical print from there, unparsed. Any
+// other chunk is strictly parsed and printed, and fills the alias; the
+// error is the parser's verdict on it. The print is both the unit's
+// source and what the function-granular cache key hashes, so single,
+// batch and stream requests share entries.
+func (s *Server) unitFor(req optimizeRequest, chunk string, verify bool) (jobUnit, error) {
+	u, sum, ok := s.aliased(chunk)
+	if !ok {
+		f, err := textir.ParseFunction(chunk)
+		if err != nil {
+			return jobUnit{}, err
+		}
+		u = parsedUnit(f)
+		s.alias.put(sum, chunk, u.Name, u.Src)
+	}
+	return s.keyed(req, u, verify), nil
+}
+
+// aliased returns the unit the alias holds for chunk, unkeyed, and the
+// chunk's hash, which fills the alias on a miss. It counts alias hits and
+// entries that fail their checksum.
+func (s *Server) aliased(chunk string) (u jobUnit, sum [sha256.Size]byte, ok bool) {
+	if s.alias == nil {
+		return u, sum, false
+	}
+	sum = sha256.Sum256([]byte(chunk))
+	ent, ok, corrupted := s.alias.get(sum)
+	if corrupted {
+		s.cacheCorrupt.Add(1)
+	}
+	if !ok {
+		return u, sum, false
+	}
+	s.aliasHits.Add(1)
+	u = jobUnit{Name: ent.name, Src: ent.print}
+	if u.Src == "" {
+		u.Src = chunk
+	}
+	return u, sum, true
+}
+
+// parsedUnit is the unit of a strictly parsed function. Its name is
+// cloned: sliced from the request, it would keep the whole request body
+// alive for as long as a ?job= job holds the unit.
+func parsedUnit(f *ir.Function) jobUnit {
+	return jobUnit{Name: strings.Clone(f.Name), Src: f.String(), fn: f}
+}
+
+// keyed sets u's function-granular cache key when caching is on.
+func (s *Server) keyed(req optimizeRequest, u jobUnit, verify bool) jobUnit {
 	if s.cache != nil {
 		u.Key = fnCacheKey(req, u.Src, s.effectiveFuel(req), verify)
 	}
 	return u
 }
 
-// unitsFor builds a request's job units. With mod nil it strictly
-// parses the whole /optimize program, one unit per function; a program
-// the parser rejects is still one admitted unit, whose worker answers
-// the parser's error. Otherwise it strictly parses each loosely split
-// chunk on its own: a chunk the parser rejects keeps its loose source
-// and no key — it fails per item, and its neighbors are unaffected.
+// unitsFor builds a request's job units. With mod nil it cuts the
+// /optimize program where the strict parser does, one unit per chunk.
+// If a chunk fails, the whole program is parsed at once, so a parse
+// error keeps its text and line number: a program the parser rejects is
+// still one admitted unit, whose worker answers the parser's error.
+// Otherwise each loosely split chunk is a unit on its own: a chunk the
+// parser rejects keeps its loose source and no key — it fails per item,
+// and its neighbors are unaffected. Unit names never share memory with
+// the request.
 func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, verify bool) []jobUnit {
 	if mod == nil {
+		if units, ok := s.chunkUnits(req, verify); ok {
+			return units
+		}
 		fns, err := textir.Parse(req.Program)
 		if err != nil {
 			return []jobUnit{{Src: req.Program, perr: err}}
 		}
 		units := make([]jobUnit, len(fns))
 		for i, f := range fns {
-			units[i] = s.unitFor(req, f, verify)
+			units[i] = s.keyed(req, parsedUnit(f), verify)
 		}
 		return units
 	}
 	units := make([]jobUnit, len(mod.Funcs))
 	for i, fd := range mod.Funcs {
 		src := fd.String()
-		if f, err := textir.ParseFunction(src); err != nil {
-			units[i] = jobUnit{Name: fd.Name, Src: src, perr: err}
-		} else {
-			units[i] = s.unitFor(req, f, verify)
-			units[i].Name = fd.Name
+		u, err := s.unitFor(req, src, verify)
+		if err != nil {
+			u = jobUnit{Src: src, perr: err}
 		}
+		u.Name = strings.Clone(fd.Name)
+		units[i] = u
 	}
 	return units
+}
+
+// chunkUnits builds the units of the /optimize program's chunks
+// (textir.Chunks). It reports false when the program does not cut or a
+// chunk fails the strict parse, having parsed no chunk after that one.
+func (s *Server) chunkUnits(req optimizeRequest, verify bool) ([]jobUnit, bool) {
+	chunks, ok := textir.Chunks(req.Program)
+	if !ok {
+		return nil, false
+	}
+	units := make([]jobUnit, len(chunks))
+	for i, c := range chunks {
+		var err error
+		if units[i], err = s.unitFor(req, c, verify); err != nil {
+			return nil, false
+		}
+	}
+	return units, true
 }
 
 // submit is the one front door for module requests. It attaches to an
@@ -833,10 +904,6 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 			}
 			return nil
 		}
-		u := hdr.Funcs[i]
-		if u.fn == nil && u.perr == nil {
-			u.fn, u.perr = textir.ParseFunction(u.Src) // read back from a journal
-		}
 		ictx, cancel := ctx, context.CancelFunc(func() {})
 		switch {
 		case budget != nil:
@@ -845,7 +912,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 			ictx, cancel = context.WithTimeout(ctx, s.budgetFor(optimizeRequest{}))
 		}
 		defer cancel()
-		j := &job{ctx: ictx, hdr: hdr, unit: u, done: make(chan outcome, 1), start: time.Now(), gauged: !single}
+		j := &job{ctx: ictx, hdr: hdr, unit: hdr.Funcs[i], done: make(chan outcome, 1), start: time.Now(), gauged: !single}
 		// The item holds a queue slot, so the send cannot block; a held
 		// item is dispatched even past the run's deadline, and its worker
 		// observes the dead context and does the canceled accounting,

@@ -83,7 +83,7 @@ func TestHealthWireGolden(t *testing.T) {
 		`"disk_bytes":0,"disk_disable_transitions":0,"disk_disabled":false,"disk_entries":0,` +
 		`"disk_faults_read":0,"disk_faults_rename":0,"disk_faults_sync":0,"disk_faults_write":0,` +
 		`"disk_hits":0,"disk_read_errors":0,"disk_write_errors":0,"fell_back":0,` +
-		`"fn_cache_hits":0,"fn_cache_misses":1,"inflight":0,"invalid":0,"jobs_active":0,` +
+		`"fn_alias_hits":0,"fn_cache_hits":0,"fn_cache_misses":1,"inflight":0,"invalid":0,"jobs_active":0,` +
 		`"jobs_expired":0,"jobs_resumed":0,"journal_degraded":false,"optimized":1,"panics":0,` +
 		`"peer_hits":0,"peer_misses":%d,"peer_served":0,%s"quarantine_writable":false,` +
 		`"quarantined":0,"queue_capacity":4,"queue_depth":0,"requests":1,"retry_after_ms":0,` +

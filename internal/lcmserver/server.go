@@ -32,6 +32,7 @@ import (
 	"lazycm/internal/ir"
 	"lazycm/internal/overload"
 	"lazycm/internal/pipeline"
+	"lazycm/internal/textir"
 	"lazycm/internal/triage"
 	"lazycm/internal/vfs"
 )
@@ -184,6 +185,7 @@ type Server struct {
 	wg     sync.WaitGroup
 	start  time.Time
 	cache  *resultCache // nil when caching is disabled
+	alias  *chunkAlias  // nil when caching is disabled
 	peers  *peerGroup   // nil when peer fill is disabled
 	ladder *overload.Ladder
 	gauge  *overload.Gauge
@@ -221,7 +223,8 @@ type Server struct {
 	quarantined  atomic.Int64 // distinct crashers captured (duplicates collapse)
 	cacheHits    atomic.Int64 // results replayed from the content cache (memory or disk)
 	cacheMisses  atomic.Int64 // lookups that ran the pipeline
-	cacheCorrupt atomic.Int64 // in-memory cache reads failing the integrity checksum
+	cacheCorrupt atomic.Int64 // in-memory cache and alias reads failing their checksum
+	aliasHits    atomic.Int64 // function chunks keyed from the alias, unparsed
 	peerHits     atomic.Int64 // local misses served by a fleet peer's cache
 	peerMisses   atomic.Int64 // peer consults that found nothing usable
 	peerServed   atomic.Int64 // GET /cache hits served to fleet peers
@@ -241,6 +244,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg, jobs: make(chan *job, cfg.Queue), start: time.Now(),
 		cache:      newResultCache(cfg.CacheSize),
+		alias:      newChunkAlias(cfg.CacheSize),
 		ladder:     overload.NewLadder(cfg.Degrade),
 		gauge:      overload.NewGauge(cfg.Timeout/4, 0),
 		diskHealth: newDiskHealth(cfg.DiskHealth),
@@ -405,8 +409,8 @@ type job struct {
 	// verify already resolved for the admission level, so the worker and
 	// the quarantine directives agree on what actually ran.
 	hdr *jobHeader
-	// unit arrives parsed and keyed by the submit step; the key embeds
-	// the client's undegraded fuel, which hdr does not carry.
+	// unit arrives keyed by the submit step; the key embeds the client's
+	// undegraded fuel, which hdr does not carry.
 	unit  jobUnit
 	done  chan outcome
 	start time.Time
@@ -813,7 +817,11 @@ type Stats struct {
 	Panics       int64 `json:"panics"`
 	Quarantined  int64 `json:"quarantined"`
 	CacheEntries int64 `json:"cache_entries"`
+	// CacheCorrupt counts memory cache and alias entries that failed
+	// their checksum; AliasHits the function chunks keyed from the alias
+	// without a parse.
 	CacheCorrupt int64 `json:"cache_corrupt"`
+	AliasHits    int64 `json:"fn_alias_hits"`
 	DiskEntries  int64 `json:"disk_entries"`
 	DiskBytes    int64 `json:"disk_bytes"`
 	DiskHits     int64 `json:"disk_hits"`
@@ -847,6 +855,7 @@ func (s *Server) Stats() Stats {
 		Quarantined:        s.quarantined.Load(),
 		CacheEntries:       int64(s.cache.len()),
 		CacheCorrupt:       s.cacheCorrupt.Load(),
+		AliasHits:          s.aliasHits.Load(),
 		DiskEntries:        int64(s.disk().Len()),
 		DiskBytes:          s.disk().Bytes(),
 		DiskHits:           s.diskHits(),
@@ -1002,10 +1011,11 @@ func (s *Server) pipelineFor(j *job, sc *dataflow.Scratch) ([]pipeline.Pass, pip
 }
 
 // optimize runs one item through cache-or-compute. The unit arrives
-// parsed and keyed, so the worker neither parses nor prints its input:
-// a unit the strict parser rejected answers its parse error, a keyed
-// unit consults the function-granular cache (memory → disk → peers),
-// and a full miss runs the pipeline. LCM's analyses are
+// keyed: a unit the strict parser rejected answers its parse error, a
+// keyed unit consults the function-granular cache (memory → disk →
+// peers), and a full miss runs the pipeline. A unit without its parsed
+// function — taken from the chunk alias or read back from a journal —
+// is parsed only then, so a hit never parses. LCM's analyses are
 // intraprocedural, so one function's outcome is a pure function of its
 // own body plus the resolved directives, and only clean results are
 // stored.
@@ -1037,6 +1047,14 @@ func (s *Server) optimize(j *job, sc *dataflow.Scratch) outcome {
 		s.cacheMisses.Add(1)
 	}
 
+	if u.fn == nil {
+		// Every tier missed: a unit from the alias or a journal parses
+		// its source now.
+		var err error
+		if u.fn, err = textir.ParseFunction(u.Src); err != nil {
+			return outcome{http.StatusBadRequest, optimizeResponse{Error: err.Error(), Kind: "parse"}}
+		}
+	}
 	passes, opts := s.pipelineFor(j, sc)
 	res, err := pipeline.Run(u.fn, passes, opts)
 	if err != nil {

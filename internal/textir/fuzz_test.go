@@ -173,6 +173,60 @@ func FuzzParseEquiv(f *testing.F) {
 	})
 }
 
+// FuzzChunks holds Chunks to the strict parser's cut: on any input, Parse
+// succeeds exactly when Chunks does and ParseFunction accepts every
+// chunk, and the chunks' functions then print as Parse's do, in order.
+// The server keys its chunk alias on these cuts, so a cut that drifted
+// from Parse's would serve one function's answer for another's text.
+func FuzzChunks(f *testing.F) {
+	for _, src := range []string{
+		"func f() {\ne:\n  ret\n} # end of f\nfunc g() {\ne:\n  ret\n}\n",
+		"func f(a) {\ne:\n  # a note\n  x = a + 1\n\n  ret x\n}\n",
+		"func f() {\ne:\n  ret\nfunc g() {\ne:\n  ret\n}\n",
+		"func f() {\ne:\n  ret\n",
+		"func f() {\ne:\n  ret\n}\ntrailing text\n",
+		"func f() {\ne:\n  func g() {\n  ret\n}\n",
+		"func f(a) {\r\ne:\r\n  x = a + 1\r\n  ret x\r\n}\r\n\r\nfunc g() {\r\ne:\r\n  ret\r\n}\r\n",
+		"",
+		"  func f() {\ne:\n  ret\n  }",
+		"}\nfunc f() {\ne:\n  ret\n}\n",
+	} {
+		f.Add(src)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(randprog.ForSeed(seed).String())
+	}
+	for _, seed := range corpusSeeds(f) {
+		f.Add(seed.Src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fns, err := Parse(src)
+		chunks, ok := Chunks(src)
+		var got []*ir.Function
+		for i := 0; ok && i < len(chunks); i++ {
+			fn, cerr := ParseFunction(chunks[i])
+			if cerr != nil {
+				ok = false
+			}
+			got = append(got, fn)
+		}
+		if (err == nil) != ok {
+			t.Fatalf("Parse(%q) error %v, but chunks %q parse: %v", src, err, chunks, ok)
+		}
+		if err != nil {
+			return
+		}
+		if len(got) != len(fns) {
+			t.Fatalf("Chunks(%q) cut %d functions, Parse %d", src, len(got), len(fns))
+		}
+		for i := range fns {
+			if g, w := got[i].String(), fns[i].String(); g != w {
+				t.Fatalf("Chunks(%q) function %d printed\n%s\nParse\n%s", src, i, g, w)
+			}
+		}
+	})
+}
+
 // sameError reports whether two errors are both nil, or of one type with
 // one message.
 func sameError(a, b error) bool {

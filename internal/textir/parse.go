@@ -47,9 +47,10 @@ const maxFields = 5
 // are skipped. Lines are counted from 1 at each '\n', so a source with k
 // newlines has k+1 lines.
 type lineScanner struct {
-	src string
-	off int // byte offset of the next line
-	eof bool
+	src   string
+	start int // byte offset of the current line
+	off   int // byte offset of the next line
+	eof   bool
 	// num is the number of the current line; at end of input, the
 	// number of lines.
 	num int
@@ -63,6 +64,7 @@ type lineScanner struct {
 // reports whether there is one.
 func (s *lineScanner) next() bool {
 	for !s.eof {
+		s.start = s.off
 		line := s.src[s.off:]
 		if i := strings.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i]
@@ -150,6 +152,31 @@ func Parse(src string) ([]*ir.Function, error) {
 		return nil, fmt.Errorf("textir: no functions in input")
 	}
 	return fns, nil
+}
+
+// Chunks cuts src where Parse cuts it between functions: each chunk runs
+// from a function's header line through the first line after it that
+// reads "}", spelled as in src. It reports false when src holds no
+// function or ends inside one. Parse accepts src exactly when Chunks does
+// and ParseFunction accepts every chunk, and the chunks' functions are
+// then Parse's, in order: the parser carries no state from one function
+// to the next.
+func Chunks(src string) ([]string, bool) {
+	s := lineScanner{src: src}
+	var chunks []string
+	for s.next() {
+		start := s.start
+		for {
+			if !s.next() {
+				return nil, false
+			}
+			if s.text == "}" {
+				break
+			}
+		}
+		chunks = append(chunks, src[start:s.off])
+	}
+	return chunks, len(chunks) > 0
 }
 
 func (p *parser) function(header string) (*ir.Function, error) {
