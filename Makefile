@@ -29,9 +29,10 @@ svcbench-check:
 	cd svcbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz pass over the parser, its equivalence with the reference
-# parsers it replaced, the chunk cut the server's alias keys on, and the
-# hardened pipeline. Each -fuzz pattern is anchored: go test fuzzes only
-# a pattern that matches one target.
+# parsers it replaced, the structural cut the server splits every module
+# request with (FuzzChunks: held to the reference loose split, ParseModule
+# and Parse), and the hardened pipeline. Each -fuzz pattern is anchored:
+# go test fuzzes only a pattern that matches one target.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/textir
 	$(GO) test -run=NONE -fuzz='^FuzzParseEquiv$$' -fuzztime=30s ./internal/textir

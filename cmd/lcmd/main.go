@@ -52,7 +52,6 @@
 //	-peers LIST      comma-separated base URLs of fleet peers; a local
 //	                 cache miss asks the key's ring-owner neighbors before
 //	                 computing — strictly fail-open ("" disables)
-//	-peer-timeout D  per-peer budget for one cache fetch (default 150ms)
 //	-journal-dir DIR write-ahead journal directory for ?job= submissions:
 //	                 jobs survive a crash-restart and resume without
 //	                 recomputing finished functions ("" disables jobs'
@@ -63,7 +62,6 @@
 //	                 guard that also feeds the disk-health tracker — a
 //	                 stalled fsync errors out instead of wedging a
 //	                 worker (default 2s; 0 disables the deadline)
-//	-verify          re-check every pass output on random interpreted runs
 //	-quarantine DIR  capture inputs that fault or fall back as .ir seeds
 //	                 ("" disables; default testdata/crashers)
 //	-drain D         grace period for in-flight work on SIGTERM/SIGINT
@@ -131,10 +129,8 @@ func main() {
 	cacheDir := fs.String("cache-dir", "", "durable cache directory (\"\" disables)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "byte budget for -cache-dir (0 = 64MiB)")
 	peers := fs.String("peers", "", "comma-separated fleet peer base URLs for cache fill (\"\" disables)")
-	peerTimeout := fs.Duration("peer-timeout", 0, "per-peer budget for one cache fetch (0 = 150ms)")
 	journalDir := fs.String("journal-dir", "", "write-ahead journal directory for resumable jobs (\"\" disables durability)")
 	ioTimeout := fs.Duration("io-timeout", 2*time.Second, "deadline per blocking filesystem operation on durable paths (0 disables)")
-	verify := fs.Bool("verify", false, "re-check every pass output on random interpreted runs")
 	quarantine := fs.String("quarantine", "testdata/crashers", "directory for faulting inputs (\"\" disables)")
 	drain := fs.Duration("drain", 30*time.Second, "grace period for in-flight work on shutdown")
 	degradedFuel := fs.Int("degraded-fuel", 0, "fuel cap at degrade level 1+ (0 = default, negative disables)")
@@ -155,13 +151,11 @@ func main() {
 		Workers:      *workers,
 		Queue:        *queue,
 		Timeout:      *timeout,
-		Verify:       *verify,
 		Quarantine:   *quarantine,
 		CacheSize:    *cacheSize,
 		CacheDir:     *cacheDir,
 		CacheBytes:   *cacheBytes,
 		Peers:        splitPeers(*peers),
-		PeerTimeout:  *peerTimeout,
 		JournalDir:   *journalDir,
 		IOTimeout:    *ioTimeout,
 		DegradedFuel: *degradedFuel,

@@ -35,12 +35,10 @@
 package lcm
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
 	"lazycm/internal/bitvec"
-	"lazycm/internal/conc"
 	"lazycm/internal/dataflow"
 	"lazycm/internal/nodes"
 	"lazycm/internal/props"
@@ -161,14 +159,11 @@ func Analyze(g *nodes.Graph) (*Analysis, error) {
 // All four data-flow problems and the derived predicates share one
 // dataflow.Scratch (o.Scratch, or a run-private one): the traversal order
 // is computed once per direction and the bit-vector working state is
-// recycled between problems instead of reallocated per analysis. The two
-// problems that depend on nothing but the graph's local predicates —
-// down-safety and up-safety — are solved concurrently; they read only
-// shared immutable inputs (COMP, TRANSP, ¬TRANSP) and write disjoint
-// results, and each still honors o.Fuel and o.Ctx on its own. None of
-// this changes what is computed: every fixpoint is the unique solution
-// of its own monotone system, solved in the same per-problem iteration
-// order as before (see DESIGN.md "Shared analysis scratch").
+// recycled between problems instead of reallocated per analysis. The
+// problems are solved one after another on the caller's goroutine, each
+// honoring o.Fuel and o.Ctx on its own. None of this changes what is
+// computed: every fixpoint is the unique solution of its own monotone
+// system (see DESIGN.md "Shared analysis scratch").
 func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	n := g.NumNodes()
 	w := g.U.Size()
@@ -178,13 +173,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		sc = dataflow.NewScratch()
 	}
 	a := &Analysis{G: g, U: g.U, sc: sc}
-	releaseRes := func(rs ...*dataflow.Result) {
-		for _, r := range rs {
-			if r != nil {
-				sc.Release(r.In, r.Out)
-			}
-		}
-	}
 
 	// Shared kill vector: expressions killed by a node are those with a
 	// redefined operand, i.e. ¬TRANSP.
@@ -210,36 +198,29 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	// with USAFE ≡ false at the entry node.
 	//
 	// The two systems are independent — neither reads the other's
-	// solution — so they solve in parallel over the shared scratch.
-	var usafeRes *dataflow.Result
-	var grp conc.Group
-	grp.Go(func() error {
-		var err error
-		usafeRes, err = dataflow.Solve(g, &dataflow.Problem{
-			Name: "usafe", Dir: dataflow.Forward, Meet: dataflow.Must,
-			Width: w, Gen: usafeGen, Kill: notTransp,
-			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		})
-		return err
-	})
-	dsafeRes, dsafeErr := dataflow.Solve(g, &dataflow.Problem{
+	// solution. Down-safety is solved first, so when it fails (fuel
+	// starves it, or the context ends) its error is the analysis's on
+	// every run.
+	dsafeRes, err := dataflow.Solve(g, &dataflow.Problem{
 		Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
 		Width: w, Gen: g.Comp, Kill: notTransp,
 		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
 	})
-	usafeErr := grp.Wait()
-	// Both solves run to completion, so when both fail (fuel starves
-	// both), down-safety's error is reported: a failed analysis names the
-	// same solve on every run, not whichever finished first.
-	if err := cmp.Or(dsafeErr, usafeErr); err != nil {
-		releaseRes(dsafeRes, usafeRes)
+	if err != nil {
 		sc.Release(notTransp, usafeGen)
+		return nil, fmt.Errorf("lcm: %w", err)
+	}
+	usafeRes, err := dataflow.Solve(g, &dataflow.Problem{
+		Name: "usafe", Dir: dataflow.Forward, Meet: dataflow.Must,
+		Width: w, Gen: usafeGen, Kill: notTransp,
+		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
+	})
+	if err != nil {
+		sc.Release(dsafeRes.In, dsafeRes.Out, notTransp, usafeGen)
 		return nil, fmt.Errorf("lcm: %w", err)
 	}
 	a.DSafe = dsafeRes.In
 	a.USafe = usafeRes.In
-	// Stats keep their documented order (dsafe, usafe, delay, isolated)
-	// regardless of which concurrent solve finished first.
 	a.Stats = append(a.Stats, dsafeRes.Stats, usafeRes.Stats)
 	sc.Release(dsafeRes.Out, usafeRes.Out, usafeGen)
 

@@ -147,20 +147,13 @@ func dropElapsed(v any) {
 }
 
 // aliasable counts the units a warm request of program takes from the
-// alias on path: /optimize stops at its first chunk that fails the
-// strict parse, and a loosely split module tries every chunk.
+// alias on path: none when the program does not cut, else every chunk
+// the strict parser accepts, up to the first it rejects on /optimize.
 func aliasable(program, path string) int64 {
-	var chunks []string
-	if path == "/optimize" {
-		chunks, _ = textir.Chunks(program)
-	} else if m, err := textir.ParseModule(program); err == nil {
-		for _, fd := range m.Funcs {
-			chunks = append(chunks, fd.String())
-		}
-	}
+	chunks, _ := textir.Cut(program)
 	var n int64
 	for _, c := range chunks {
-		if _, err := textir.ParseFunction(c); err != nil {
+		if _, err := textir.ParseFunction(c.Text); err != nil {
 			if path == "/optimize" {
 				break
 			}
@@ -229,10 +222,10 @@ func TestAliasNeverChangesAnswer(t *testing.T) {
 }
 
 // TestAliasCorruptEntryMisses: a byte flipped in a stored entry — in the
-// print held for a respelled chunk, or in the name of a canonical one —
-// fails the entry's checksum. The next request misses the alias, counts
-// cache_corrupt once per entry, re-parses, and answers the same bytes;
-// the request after it hits the refilled entries.
+// print held for a respelled chunk, or in the checksum of a canonical
+// one — fails the entry's checksum. The next request misses the alias,
+// counts cache_corrupt once per entry, re-parses, and answers the same
+// bytes; the request after it hits the refilled entries.
 func TestAliasCorruptEntryMisses(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	fns := aliasFuncs(2)
@@ -244,20 +237,20 @@ func TestAliasCorruptEntryMisses(t *testing.T) {
 
 	flip := func(s string) string { b := []byte(s); b[len(b)/2] ^= 0x20; return string(b) }
 	s.alias.mu.Lock()
-	var prints, names int
+	var prints, sums int
 	for _, el := range s.alias.mem.m {
 		ent := &el.Value.(*lruItem[[32]byte, aliasEntry]).val
 		if ent.print != "" {
 			ent.print = flip(ent.print)
 			prints++
 		} else {
-			ent.name = flip(ent.name)
-			names++
+			ent.sum ^= 0x20 << 8
+			sums++
 		}
 	}
 	s.alias.mu.Unlock()
-	if prints != 1 || names != 1 {
-		t.Fatalf("alias holds %d prints and %d bare names, want one each", prints, names)
+	if prints != 1 || sums != 1 {
+		t.Fatalf("alias holds %d prints and %d canonical chunks, want one each", prints, sums)
 	}
 
 	for i, wantHits := range []int64{0, 2} {
@@ -297,7 +290,7 @@ func TestJournalUnitParsedOnlyOnMiss(t *testing.T) {
 	}
 	hdr := jobHeader{
 		Type: "header", Mode: "lcm", Created: time.Now(),
-		Funcs: []jobUnit{{Name: f.Name, Key: fnCacheKey(optimizeRequest{Mode: "lcm"}, f.String(), 0, false), Src: "not a function"}},
+		Funcs: []jobUnit{{Name: f.Name, Key: cacheKey(optimizeRequest{Mode: "lcm"}, f.String(), 0, false), Src: "not a function"}},
 	}
 	hdr.ID = deriveJobID(hdr)
 	line, err := json.Marshal(hdr)

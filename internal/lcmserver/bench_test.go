@@ -237,9 +237,9 @@ func BenchmarkWarmStart(b *testing.B) {
 }
 
 // BenchmarkUnitBuild is the unit build of an eight-function medium
-// module: /optimize's strict cut and batch's loose split, each with
-// every chunk in the alias (hit) and with the alias off, so every chunk
-// is strictly parsed and printed (miss). Both hash every cache key.
+// module, from the cut: /optimize's and batch's, each with every chunk
+// in the alias (hit) and with the alias off, so every chunk is strictly
+// parsed and printed (miss). Both hash every cache key.
 func BenchmarkUnitBuild(b *testing.B) {
 	module := benchModule(b, 8)
 	req := optimizeRequest{Program: module, Mode: "lcm"}
@@ -252,14 +252,11 @@ func BenchmarkUnitBuild(b *testing.B) {
 					s.alias = nil
 				}
 				build := func() {
-					var mod *textir.Module
-					if view == "batch" {
-						var err error
-						if mod, err = textir.ParseModule(module); err != nil {
-							b.Fatal(err)
-						}
+					chunks, err := textir.Cut(module)
+					if err != nil {
+						b.Fatal(err)
 					}
-					if units := s.unitsFor(req, mod, false); len(units) != 8 || units[7].perr != nil {
+					if units := s.unitsFor(req, chunks, view == "optimize", false); len(units) != 8 || units[7].Key == "" {
 						b.Fatalf("built %d units", len(units))
 					}
 				}

@@ -70,11 +70,17 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{mem: newLRU[string, cacheEntry](max)}
 }
 
-// cacheKey hashes everything that determines an optimization outcome:
-// the program source and the directives (mode, effective fuel, effective
-// verify, canonical). The request deadline is deliberately excluded — it
-// decides whether a result is produced, never which result.
-func cacheKey(req optimizeRequest, fuel int, verify bool) string {
+// cacheKey is the function-granular cache key: it hashes one function's
+// canonical print, src, and the directives that decide its outcome
+// (mode, effective fuel, effective verify, canonical). The analyses are
+// intraprocedural — a function's placement decisions can never depend on
+// a neighbor — so this key is sound, and a one-function edit to a large
+// module invalidates exactly one entry. Keying on the canonical print
+// (not the request's spelling) makes single, batch and stream requests
+// share entries for byte-different spellings of the same function. The
+// request deadline is deliberately excluded — it decides whether a
+// result is produced, never which result.
+func cacheKey(req optimizeRequest, src string, fuel int, verify bool) string {
 	h := sha256.New()
 	var nums [9]byte
 	binary.LittleEndian.PutUint64(nums[:8], uint64(fuel))
@@ -89,22 +95,8 @@ func cacheKey(req optimizeRequest, fuel int, verify bool) string {
 	h.Write(nums[:])
 	h.Write([]byte(req.Mode))
 	h.Write([]byte{0})
-	h.Write([]byte(req.Program))
+	h.Write([]byte(src))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fnCacheKey is the function-granular cache key: one function's
-// canonical printed body under the request's directives. The analyses
-// are intraprocedural — a function's placement decisions can never
-// depend on a neighbor — so this key is sound, and a one-function edit
-// to a large module invalidates exactly one entry. Keying on the
-// canonical print (not the raw request chunk) makes single, batch and
-// stream requests share entries for byte-different spellings of the
-// same function.
-func fnCacheKey(req optimizeRequest, fnSrc string, fuel int, verify bool) string {
-	r := req
-	r.Program = fnSrc
-	return cacheKey(r, fuel, verify)
 }
 
 // encodeOutcome flattens a cacheable (clean 200) outcome into the

@@ -51,7 +51,7 @@ func TestResultCacheLRU(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	base := optimizeRequest{Program: diamond, Mode: "lcm"}
 	k := func(req optimizeRequest, fuel int, verify bool) string {
-		return cacheKey(req, fuel, verify)
+		return cacheKey(req, req.Program, fuel, verify)
 	}
 	ref := k(base, 0, false)
 	alts := map[string]string{}

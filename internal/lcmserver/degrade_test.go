@@ -186,9 +186,9 @@ func TestLadderShedsAndRecovers(t *testing.T) {
 // client already running leaner than the degraded cap keeps its own
 // budget.
 func TestOptionsForDegradesEffort(t *testing.T) {
-	s := NewServer(Config{Workers: 1, Verify: true, DegradedFuel: 500})
+	s := NewServer(Config{Workers: 1, DegradedFuel: 500})
 	defer s.Close()
-	req := optimizeRequest{Program: diamond}
+	req := optimizeRequest{Program: diamond, Verify: true}
 
 	if fuel, verify := s.optionsFor(req, overload.LevelFull); fuel != 0 || !verify {
 		t.Errorf("full service = fuel %d verify %v, want 0/true", fuel, verify)

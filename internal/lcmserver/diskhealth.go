@@ -206,9 +206,9 @@ func (s *Server) diskProbeLoop() {
 }
 
 // diskProbe performs one active write/read/remove round-trip against
-// the first configured durable directory (the same probe shape as
-// quarantineWritable, but through the vfs stack so injected faults and
-// deadlines apply). Any error fails the probe.
+// the first configured durable directory (quarantineWritable's probe
+// plus an fsync and a read-back), through the unobserved filesystem so
+// injected faults and deadlines apply. Any error fails the probe.
 func (s *Server) diskProbe() bool {
 	dir := s.probeDir()
 	if dir == "" {

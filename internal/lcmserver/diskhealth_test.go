@@ -248,3 +248,25 @@ func TestServerDiskQuarantineAndRecovery(t *testing.T) {
 		t.Fatalf("healthz after recovery: disk_disabled=%v journal_degraded=%v", h["disk_disabled"], h["journal_degraded"])
 	}
 }
+
+// TestHealthzLeavesFaultWindowAlone: /healthz probes the quarantine
+// directory through the unobserved filesystem, like the background disk
+// probe, so health polling never dilutes the live fault window that
+// trips the disk tier.
+func TestHealthzLeavesFaultWindowAlone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Quarantine: t.TempDir(), CacheDir: t.TempDir(), Degrade: steadyLadder})
+	window := func() (next, filled int) {
+		s.diskHealth.mu.Lock()
+		defer s.diskHealth.mu.Unlock()
+		return s.diskHealth.next, s.diskHealth.filled
+	}
+	next, filled := window()
+	for i := 0; i < 10; i++ {
+		if _, h := getHealthz(t, ts); h["quarantine_writable"] != true {
+			t.Fatalf("healthz %d: quarantine_writable = %v, want true", i, h["quarantine_writable"])
+		}
+	}
+	if n, f := window(); n != next || f != filled {
+		t.Fatalf("10 healthz calls moved the fault window from next=%d filled=%d to next=%d filled=%d", next, filled, n, f)
+	}
+}

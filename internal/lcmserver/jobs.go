@@ -36,20 +36,19 @@ const journalExt = ".journal"
 
 // jobUnit is one function of a job: its name, its canonical source, and
 // its function-granular cache key. Key is empty when caching is off or
-// the chunk fails the strict parser — such an item can never be served
-// from cache, so its outcome is always journaled inline.
+// the strict parser rejects the function — such an item can never be
+// served from cache, so its outcome is always journaled inline.
 type jobUnit struct {
 	Name string `json:"name"`
 	Key  string `json:"key,omitempty"`
 	Src  string `json:"src"`
 
-	// fn is the function parsed at submit, or perr the strict parser's
-	// verdict on Src. A unit taken from the chunk alias or read back from
-	// a journal carries neither: its worker parses Src only once every
-	// cache tier has missed. fn is released once the unit's item
-	// completes.
-	fn   *ir.Function
-	perr error
+	// fn is the function parsed at submit. A unit without it — taken from
+	// the chunk alias, read back from a journal, or rejected by the
+	// parser — has its worker parse Src once every cache tier has missed,
+	// so a rejected unit answers the parser's error on Src. fn is released
+	// once the unit's item completes.
+	fn *ir.Function
 }
 
 // jobHeader is the first journal line: everything needed to recompute
@@ -351,130 +350,89 @@ const (
 	viewStream
 )
 
-// unitFor builds the unit of one function chunk. A chunk the alias
-// holds takes its name and canonical print from there, unparsed. Any
-// other chunk is strictly parsed and printed, and fills the alias; the
-// error is the parser's verdict on it. The print is both the unit's
-// source and what the function-granular cache key hashes, so single,
-// batch and stream requests share entries.
-func (s *Server) unitFor(req optimizeRequest, chunk string, verify bool) (jobUnit, error) {
-	u, sum, ok := s.aliased(chunk)
-	if !ok {
-		f, err := textir.ParseFunction(chunk)
-		if err != nil {
-			return jobUnit{}, err
+// unitsFor builds a request's job units, one per chunk of its cut. A
+// chunk the alias holds takes its canonical print from there, unparsed;
+// any other is strictly parsed and printed, and fills the alias. The
+// print is the unit's source and what its cache key hashes, so single,
+// batch and stream requests share entries. An /optimize (whole) that
+// does not cut, or has a chunk the parser rejects, is one keyless unit
+// holding the whole program: its worker answers the whole-program
+// parser's error, text and line number. A batch or stream chunk the
+// parser rejects is a keyless unit of its own holding the chunk's loose
+// print, and fails alone. Units may slice the request; createJob clones
+// what it keeps.
+func (s *Server) unitsFor(req optimizeRequest, chunks []textir.Chunk, whole, verify bool) []jobUnit {
+	if len(chunks) == 0 {
+		return []jobUnit{{Src: req.Program}}
+	}
+	units := make([]jobUnit, len(chunks))
+	for i, c := range chunks {
+		print, sum, ok := s.aliased(c.Text)
+		u := jobUnit{Name: c.Name, Src: print}
+		if !ok {
+			f, err := textir.ParseFunction(c.Text)
+			switch {
+			case err == nil:
+				u.Src, u.fn = f.String(), f
+				s.alias.put(sum, c.Text, u.Src)
+			case whole:
+				return []jobUnit{{Src: req.Program}}
+			default:
+				// A chunk is one function to the loose structure, so it
+				// splits into just its loose print.
+				loose, _ := textir.SplitFunctions(c.Text)
+				units[i] = jobUnit{Name: c.Name, Src: loose[0]}
+				continue
+			}
 		}
-		u = parsedUnit(f)
-		s.alias.put(sum, chunk, u.Name, u.Src)
-	}
-	return s.keyed(req, u, verify), nil
-}
-
-// aliased returns the unit the alias holds for chunk, unkeyed, and the
-// chunk's hash, which fills the alias on a miss. It counts alias hits and
-// entries that fail their checksum.
-func (s *Server) aliased(chunk string) (u jobUnit, sum [sha256.Size]byte, ok bool) {
-	if s.alias == nil {
-		return u, sum, false
-	}
-	sum = sha256.Sum256([]byte(chunk))
-	ent, ok, corrupted := s.alias.get(sum)
-	if corrupted {
-		s.cacheCorrupt.Add(1)
-	}
-	if !ok {
-		return u, sum, false
-	}
-	s.aliasHits.Add(1)
-	u = jobUnit{Name: ent.name, Src: ent.print}
-	if u.Src == "" {
-		u.Src = chunk
-	}
-	return u, sum, true
-}
-
-// parsedUnit is the unit of a strictly parsed function. Its name is
-// cloned: sliced from the request, it would keep the whole request body
-// alive for as long as a ?job= job holds the unit.
-func parsedUnit(f *ir.Function) jobUnit {
-	return jobUnit{Name: strings.Clone(f.Name), Src: f.String(), fn: f}
-}
-
-// keyed sets u's function-granular cache key when caching is on.
-func (s *Server) keyed(req optimizeRequest, u jobUnit, verify bool) jobUnit {
-	if s.cache != nil {
-		u.Key = fnCacheKey(req, u.Src, s.effectiveFuel(req), verify)
-	}
-	return u
-}
-
-// unitsFor builds a request's job units. With mod nil it cuts the
-// /optimize program where the strict parser does, one unit per chunk.
-// If a chunk fails, the whole program is parsed at once, so a parse
-// error keeps its text and line number: a program the parser rejects is
-// still one admitted unit, whose worker answers the parser's error.
-// Otherwise each loosely split chunk is a unit on its own: a chunk the
-// parser rejects keeps its loose source and no key — it fails per item,
-// and its neighbors are unaffected. Unit names never share memory with
-// the request.
-func (s *Server) unitsFor(req optimizeRequest, mod *textir.Module, verify bool) []jobUnit {
-	if mod == nil {
-		if units, ok := s.chunkUnits(req, verify); ok {
-			return units
+		if s.cache != nil {
+			u.Key = cacheKey(req, u.Src, s.effectiveFuel(req), verify)
 		}
-		fns, err := textir.Parse(req.Program)
-		if err != nil {
-			return []jobUnit{{Src: req.Program, perr: err}}
-		}
-		units := make([]jobUnit, len(fns))
-		for i, f := range fns {
-			units[i] = s.keyed(req, parsedUnit(f), verify)
-		}
-		return units
-	}
-	units := make([]jobUnit, len(mod.Funcs))
-	for i, fd := range mod.Funcs {
-		src := fd.String()
-		u, err := s.unitFor(req, src, verify)
-		if err != nil {
-			u = jobUnit{Src: src, perr: err}
-		}
-		u.Name = strings.Clone(fd.Name)
 		units[i] = u
 	}
 	return units
 }
 
-// chunkUnits builds the units of the /optimize program's chunks
-// (textir.Chunks). It reports false when the program does not cut or a
-// chunk fails the strict parse, having parsed no chunk after that one.
-func (s *Server) chunkUnits(req optimizeRequest, verify bool) ([]jobUnit, bool) {
-	chunks, ok := textir.Chunks(req.Program)
-	if !ok {
-		return nil, false
+// aliased returns the canonical print the alias holds for chunk (the
+// chunk itself when it is already canonical) and the chunk's hash, which
+// fills the alias on a miss. It counts alias hits and entries that fail
+// their checksum.
+func (s *Server) aliased(chunk string) (print string, sum [sha256.Size]byte, ok bool) {
+	if s.alias == nil {
+		return "", sum, false
 	}
-	units := make([]jobUnit, len(chunks))
-	for i, c := range chunks {
-		var err error
-		if units[i], err = s.unitFor(req, c, verify); err != nil {
-			return nil, false
-		}
+	sum = sha256.Sum256([]byte(chunk))
+	print, ok, corrupted := s.alias.get(sum, chunk)
+	if corrupted {
+		s.cacheCorrupt.Add(1)
 	}
-	return units, true
+	if ok {
+		s.aliasHits.Add(1)
+	}
+	return print, sum, ok
 }
 
-// submit is the one front door for module requests. It attaches to an
-// existing ?job= or applies the one admission policy, builds the units,
-// and starts the job's runner. Transient runs live under ctx. It returns
-// nil when it has already answered the request (a refusal); the caller
-// renders the returned job in its view. Units are built ahead of
-// admission only where a decision needs them (a ?job= ID hashes them, a
-// degraded /optimize replays their keys), so any other refusal costs at
-// most the loose split that counts a module's functions.
+// submit is the one front door for module requests. It cuts the
+// program into its functions, attaches to an existing ?job= or applies
+// the one admission policy, builds the units, and starts the job's
+// runner. Transient runs live under ctx. It returns nil when it has
+// already answered the request (a refusal); the caller renders the
+// returned job in its view. Units are built ahead of admission only
+// where a decision needs them (a ?job= ID hashes them, a degraded
+// /optimize replays their keys), so any other refusal costs the cut.
 func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Request, req optimizeRequest, v view, start time.Time) (*jobState, overload.Level) {
 	lvl := s.observe()
 	if s.draining.Load() {
 		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining", start, lvl, req.seed())
+		return nil, lvl
+	}
+	whole := v == viewSingle
+	// The cut is structural, not strict, so a function the strict parser
+	// rejects is still an item of its own. A batch or stream that does not
+	// cut is refused here; an /optimize is answered by its units.
+	chunks, err := textir.Cut(req.Program)
+	if err != nil && !whole {
+		writeJSON(w, http.StatusBadRequest, optimizeResponse{Error: err.Error(), Kind: "parse", ElapsedMS: msSince(start)})
 		return nil, lvl
 	}
 	fuel, verify := s.optionsFor(req, lvl)
@@ -482,24 +440,10 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 		Type: "header", Mode: req.Mode, Fuel: fuel, Verify: verify,
 		Canonical: req.Canonical, Created: start,
 	}
-	var mod *textir.Module // stays nil for /optimize, parsed whole
-	if v != viewSingle {
-		// Split structurally, not strictly: a function body the strict
-		// parser rejects still becomes its own item (and its own per-item
-		// error) instead of failing the whole module.
-		var err error
-		if mod, err = textir.ParseModule(req.Program); err != nil {
-			writeJSON(w, http.StatusBadRequest, optimizeResponse{
-				Error: err.Error(), Kind: "parse", ElapsedMS: msSince(start),
-			})
-			return nil, lvl
-		}
-	}
-	persist := v != viewSingle && r.URL.Query().Has("job")
-	if persist || (v == viewSingle && lvl >= overload.LevelCacheSingle) {
-		hdr.Funcs = s.unitsFor(req, mod, verify)
-	}
-	if persist {
+	persist := !whole && r.URL.Query().Has("job")
+	switch {
+	case persist:
+		hdr.Funcs = s.unitsFor(req, chunks, whole, verify)
 		hdr.ID = deriveJobID(hdr)
 		// Attach before admission: re-submitting an in-flight (or already
 		// finished) job must not admit — or shed — its work twice. An item
@@ -513,12 +457,11 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 			s.rejectDegradedJournal(w, start, lvl, req.seed())
 			return nil, lvl
 		}
-	}
-
-	if v == viewSingle && lvl >= overload.LevelCacheSingle {
+	case whole && lvl >= overload.LevelCacheSingle:
 		// Degraded: a cached result costs no worker time, so serve it
 		// even while shedding. At level 3 everything else sheds; at level
 		// 2 the miss still competes for admission below.
+		hdr.Funcs = s.unitsFor(req, chunks, whole, verify)
 		if js := s.replay(hdr); js != nil {
 			return js, lvl
 		}
@@ -528,17 +471,22 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	// batch or stream, which is admitted or shed whole, and one for an
 	// /optimize — the slot it always held — whose further functions take
 	// free slots as they go (below, and runJob). Either way every function
-	// is accounted exactly like a single-function request. The admit case
-	// runs only when no earlier case refused.
-	n, reserve := len(hdr.Funcs), 1
-	if mod != nil {
-		n, reserve = len(mod.Funcs), len(mod.Funcs)
+	// is accounted exactly like a single-function request. n counts the
+	// units where they are built, else the chunks (at least one). The
+	// admit case runs only when no earlier case refused.
+	n := max(len(chunks), 1)
+	if hdr.Funcs != nil {
+		n = len(hdr.Funcs)
+	}
+	reserve := n
+	if whole {
+		reserve = 1
 	}
 	var refusal string
 	switch {
-	case v == viewSingle && lvl >= overload.LevelShed:
+	case whole && lvl >= overload.LevelShed:
 		refusal = "server is shedding all new work (degrade level 3)"
-	case v != viewSingle && lvl >= overload.LevelCacheSingle:
+	case !whole && lvl >= overload.LevelCacheSingle:
 		// A batch or stream is the widest work unit the service accepts,
 		// so level 2 sheds it first while single requests and cache hits
 		// keep flowing.
@@ -549,25 +497,19 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 		refusal = fmt.Sprintf("server is shedding %s work (degrade level %d)", noun, int(lvl))
 	case !s.admit(int64(reserve)):
 		refusal = "optimization queue is full"
-		if v != viewSingle {
+		if !whole {
 			refusal = fmt.Sprintf("optimization queue cannot hold %d functions", n)
 		}
 	}
 	if refusal != "" {
-		if n == 0 { // an /optimize refused before its parse: count the loose split
-			n = 1
-			if m, err := textir.ParseModule(req.Program); err == nil {
-				n = len(m.Funcs)
-			}
-		}
 		s.shed.Add(int64(n))
 		s.reject(w, http.StatusTooManyRequests, "overload", refusal, start, lvl, req.seed())
 		return nil, lvl
 	}
 	if hdr.Funcs == nil {
-		hdr.Funcs = s.unitsFor(req, mod, verify)
+		hdr.Funcs = s.unitsFor(req, chunks, whole, verify)
 	}
-	if v == viewSingle {
+	if whole {
 		// An admitted /optimize widens to one lane per worker while free
 		// slots last, never waiting for one.
 		for reserve < min(len(hdr.Funcs), s.cfg.Workers) && s.admit(1) {
@@ -590,7 +532,7 @@ func (s *Server) submit(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	js := newJobState(hdr, false)
 	js.claim(nil)
 	var budget *batchBudget
-	if v != viewSingle {
+	if !whole {
 		// Batch and stream items each get a fair slice of the request's
 		// deadline; the functions of one /optimize all run under it whole.
 		deadline, _ := ctx.Deadline()
@@ -629,12 +571,19 @@ func (s *Server) replay(hdr jobHeader) *jobState {
 
 // createJob registers a new persisted job (journaled when a journal
 // directory is configured) or returns the existing one for the same ID.
+// A persisted job outlives its request, so it clones its units' names
+// and sources: one sliced from the request would keep the whole request
+// body alive for as long as the job is held.
 func (s *Server) createJob(hdr jobHeader) (*jobState, bool) {
 	st := s.jobStore
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if js := st.m[hdr.ID]; js != nil {
 		return js, false
+	}
+	for i := range hdr.Funcs {
+		u := &hdr.Funcs[i]
+		u.Name, u.Src = strings.Clone(u.Name), strings.Clone(u.Src)
 	}
 	js := newJobState(hdr, true)
 	if st.dir != "" {

@@ -818,11 +818,11 @@ func TestStreamDegradeContract(t *testing.T) {
 // tells the client to come back.
 func TestJobStreamWithholdsRunnerWhenShedding(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Degrade: climbingLadder, JournalDir: t.TempDir()})
-	mod, err := textir.ParseModule(jobsModule)
+	chunks, err := textir.Cut(jobsModule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := s.unitsFor(optimizeRequest{}, mod, false)
+	units := s.unitsFor(optimizeRequest{}, chunks, false, false)
 	hdr := jobHeader{Type: "header", Created: time.Now(), Funcs: units}
 	hdr.ID = deriveJobID(hdr)
 	js, created := s.createJob(hdr)

@@ -21,13 +21,15 @@ import (
 // caller computes locally. The tier can therefore only ever make a
 // request faster, never wrong and never failed.
 type peerGroup struct {
-	ring    *fleet.Ring
-	peers   map[string]*fleet.Breaker
-	ids     []string // insertion order, for stable reporting
-	client  *http.Client
-	timeout time.Duration
-	consult int // how many ring-ordered neighbors one miss may ask
+	ring   *fleet.Ring
+	peers  map[string]*fleet.Breaker
+	ids    []string // insertion order, for stable reporting
+	client *http.Client
 }
+
+// peerTimeout bounds one peer cache fetch. It is kept tight: a peer
+// consult must cost a small fraction of what the pipeline would.
+const peerTimeout = 150 * time.Millisecond
 
 // peerConsult is how many neighbors a single local miss asks, in ring
 // order from the key: the owner (most likely holder under affinity
@@ -39,11 +41,9 @@ const peerConsult = 2
 // returns nil (a valid, never-fetching group) when none are configured.
 func newPeerGroup(cfg Config) *peerGroup {
 	pg := &peerGroup{
-		peers:   make(map[string]*fleet.Breaker),
-		ring:    fleet.NewRing(),
-		timeout: cfg.PeerTimeout,
-		consult: peerConsult,
-		client:  &http.Client{},
+		peers:  make(map[string]*fleet.Breaker),
+		ring:   fleet.NewRing(),
+		client: &http.Client{},
 	}
 	for _, raw := range cfg.Peers {
 		id := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -73,7 +73,7 @@ func (p *peerGroup) fetch(ctx context.Context, key string) []byte {
 	if p == nil {
 		return nil
 	}
-	order := p.ring.Pick(ringKeyOf(key), p.consult)
+	order := p.ring.Pick(ringKeyOf(key), peerConsult)
 	for _, id := range order {
 		if ctx.Err() != nil {
 			return nil
@@ -82,7 +82,7 @@ func (p *peerGroup) fetch(ctx context.Context, key string) []byte {
 		if !br.Allow() {
 			continue
 		}
-		cctx, cancel := context.WithTimeout(ctx, p.timeout)
+		cctx, cancel := context.WithTimeout(ctx, peerTimeout)
 		payload, err := lcmclient.FetchCacheEntry(cctx, p.client, id, key)
 		cancel()
 		switch {

@@ -141,7 +141,7 @@ func TestCacheGetEndpoint(t *testing.T) {
 	_, out := postOptimize(t, ts, optimizeRequest{Program: diamond})
 
 	req := optimizeRequest{Program: diamond, Mode: "lcm"}
-	key := cacheKey(req, s.effectiveFuel(req), false)
+	key := cacheKey(req, req.Program, s.effectiveFuel(req), false)
 
 	resp, err := ts.Client().Get(ts.URL + "/cache/" + key)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestCacheGetEndpoint(t *testing.T) {
 		t.Errorf("PeerServed = %d, want 1", s.Stats().PeerServed)
 	}
 
-	for _, bad := range []string{cacheKey(optimizeRequest{Program: "absent"}, 0, false), "not-a-key", "../etc/passwd"} {
+	for _, bad := range []string{cacheKey(optimizeRequest{}, "absent", 0, false), "not-a-key", "../etc/passwd"} {
 		resp, err := ts.Client().Get(ts.URL + "/cache/" + bad)
 		if err != nil {
 			t.Fatal(err)
@@ -240,9 +240,8 @@ func TestPeerFillStrictlyFailOpen(t *testing.T) {
 	defer stalled.Close()
 
 	s, ts := newTestServer(t, Config{
-		Quarantine:  "",
-		Peers:       []string{dead.URL, garbage.URL, stalled.URL},
-		PeerTimeout: 30 * time.Millisecond,
+		Quarantine: "",
+		Peers:      []string{dead.URL, garbage.URL, stalled.URL},
 	})
 
 	const n = 6
@@ -274,8 +273,8 @@ func TestPeerFillSkipsSelfRecursion(t *testing.T) {
 	}))
 	defer proxyB.Close()
 
-	a, tsA := newTestServer(t, Config{Quarantine: "", Peers: []string{proxyB.URL}, PeerTimeout: 200 * time.Millisecond})
-	b, tsB2 := newTestServer(t, Config{Quarantine: "", Peers: []string{tsA.URL}, PeerTimeout: 200 * time.Millisecond})
+	a, tsA := newTestServer(t, Config{Quarantine: "", Peers: []string{proxyB.URL}})
+	b, tsB2 := newTestServer(t, Config{Quarantine: "", Peers: []string{tsA.URL}})
 	tsB = tsB2
 
 	// Both cold: the request to A misses locally, asks B, gets an

@@ -52,9 +52,6 @@ type Config struct {
 	// maxTimeoutFactor × Timeout, so one client cannot park a worker
 	// indefinitely.
 	Timeout time.Duration
-	// Verify re-checks every pass output against its input on random
-	// interpreted runs (requests may also opt in individually).
-	Verify bool
 	// Quarantine is the directory where inputs that fault or fall back
 	// are captured as regression seeds; "" disables capture.
 	Quarantine string
@@ -79,10 +76,6 @@ type Config struct {
 	// fail-open — any peer error, timeout, open breaker, or integrity
 	// mismatch falls back to local compute. Empty disables peer fill.
 	Peers []string
-	// PeerTimeout bounds one peer cache fetch; 0 means
-	// DefaultPeerTimeout. Kept tight: a peer consult must cost a small
-	// fraction of what the pipeline would.
-	PeerTimeout time.Duration
 	// Degrade tunes the degradation ladder's thresholds and hysteresis;
 	// the zero value takes overload's defaults.
 	Degrade overload.Config
@@ -141,10 +134,6 @@ const maxBody = 4 << 20
 // unset.
 const DefaultCacheSize = 128
 
-// DefaultPeerTimeout is the per-peer cache-fetch budget when
-// Config.PeerTimeout is unset.
-const DefaultPeerTimeout = 150 * time.Millisecond
-
 // DefaultDegradedFuel is the per-fixpoint fuel cap applied at degrade
 // level 1+ when Config.DegradedFuel is unset: generous enough that
 // ordinary programs still optimize fully, tight enough that a
@@ -164,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = DefaultPeerTimeout
 	}
 	if c.DegradedFuel == 0 {
 		c.DegradedFuel = DefaultDegradedFuel
@@ -193,8 +179,9 @@ type Server struct {
 	// fs is the guarded filesystem every durable path uses: the
 	// configured FS (or vfs.OS), deadline-bounded by IOTimeout, with
 	// every outcome reported to diskHealth. rawFS is the same guard
-	// without the observer — the background probe uses it so probe
-	// traffic never pollutes the live fault window.
+	// without the observer — the background probe and /healthz's
+	// quarantine probe use it so probe traffic never pollutes the live
+	// fault window.
 	fs         vfs.FS
 	rawFS      vfs.FS
 	diskHealth *diskHealth
@@ -536,7 +523,7 @@ func (s *Server) admit(n int64) bool {
 // budget would produce, and only clean results are cached.
 func (s *Server) optionsFor(req optimizeRequest, lvl overload.Level) (fuel int, verify bool) {
 	fuel = s.effectiveFuel(req)
-	verify = s.cfg.Verify || req.Verify
+	verify = req.Verify
 	if lvl >= overload.LevelNoVerify {
 		verify = false
 		if df := s.cfg.DegradedFuel; df > 0 && (fuel <= 0 || fuel > df) {
@@ -874,21 +861,23 @@ func (s *Server) Stats() Stats {
 // quarantineWritable probes whether crasher capture can actually land on
 // disk: the directory exists (or can be created) and a file can be
 // created in it. A server that silently cannot quarantine is losing its
-// regression seeds; /healthz is where that should surface.
+// regression seeds; /healthz is where that should surface. Like the
+// background disk probe it goes through the unobserved filesystem, so
+// health polling never dilutes the live fault window.
 func (s *Server) quarantineWritable() bool {
 	if s.cfg.Quarantine == "" {
 		return false
 	}
-	if err := s.fs.MkdirAll(s.cfg.Quarantine, 0o755); err != nil {
+	if err := s.rawFS.MkdirAll(s.cfg.Quarantine, 0o755); err != nil {
 		return false
 	}
-	f, err := s.fs.CreateTemp(s.cfg.Quarantine, ".probe-*")
+	f, err := s.rawFS.CreateTemp(s.cfg.Quarantine, ".probe-*")
 	if err != nil {
 		return false
 	}
 	name := f.Name()
 	f.Close()
-	s.fs.Remove(name)
+	s.rawFS.Remove(name)
 	return true
 }
 
@@ -1011,19 +1000,16 @@ func (s *Server) pipelineFor(j *job, sc *dataflow.Scratch) ([]pipeline.Pass, pip
 }
 
 // optimize runs one item through cache-or-compute. The unit arrives
-// keyed: a unit the strict parser rejected answers its parse error, a
-// keyed unit consults the function-granular cache (memory → disk →
-// peers), and a full miss runs the pipeline. A unit without its parsed
-// function — taken from the chunk alias or read back from a journal —
-// is parsed only then, so a hit never parses. LCM's analyses are
-// intraprocedural, so one function's outcome is a pure function of its
-// own body plus the resolved directives, and only clean results are
-// stored.
+// keyed: a keyed unit consults the function-granular cache (memory →
+// disk → peers), and a full miss runs the pipeline. A unit without its
+// parsed function — taken from the chunk alias, read back from a
+// journal, or rejected by the parser at submit — is parsed only then, so
+// a hit never parses and a rejected unit answers its parse error. LCM's
+// analyses are intraprocedural, so one function's outcome is a pure
+// function of its own body plus the resolved directives, and only clean
+// results are stored.
 func (s *Server) optimize(j *job, sc *dataflow.Scratch) outcome {
 	u := j.unit
-	if u.perr != nil {
-		return outcome{http.StatusBadRequest, optimizeResponse{Error: u.perr.Error(), Kind: "parse"}}
-	}
 	cached := s.cache != nil && u.Key != ""
 	if cached {
 		if out, ok := s.cached(u.Key); ok {
@@ -1048,8 +1034,7 @@ func (s *Server) optimize(j *job, sc *dataflow.Scratch) outcome {
 	}
 
 	if u.fn == nil {
-		// Every tier missed: a unit from the alias or a journal parses
-		// its source now.
+		// Every tier missed (or the unit is keyless): parse the source now.
 		var err error
 		if u.fn, err = textir.ParseFunction(u.Src); err != nil {
 			return outcome{http.StatusBadRequest, optimizeResponse{Error: err.Error(), Kind: "parse"}}

@@ -173,11 +173,14 @@ func FuzzParseEquiv(f *testing.F) {
 	})
 }
 
-// FuzzChunks holds Chunks to the strict parser's cut: on any input, Parse
-// succeeds exactly when Chunks does and ParseFunction accepts every
-// chunk, and the chunks' functions then print as Parse's do, in order.
-// The server keys its chunk alias on these cuts, so a cut that drifted
-// from Parse's would serve one function's answer for another's text.
+// FuzzChunks holds Cut's chunks to both parsers. On any input, Cut fails
+// exactly where the reference loose split does, with its error;
+// ParseModule splits the same functions, each one the loose print of its
+// chunk; and Parse succeeds exactly when Cut does and ParseFunction
+// accepts every chunk, the chunks' functions then printing as Parse's
+// do, in order. The server keys its chunk alias on these cuts, so a cut
+// that drifted from Parse's would serve one function's answer for
+// another's text.
 func FuzzChunks(f *testing.F) {
 	for _, src := range []string{
 		"func f() {\ne:\n  ret\n} # end of f\nfunc g() {\ne:\n  ret\n}\n",
@@ -199,29 +202,55 @@ func FuzzChunks(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed.Src)
 	}
+	// A statement before any label, malformed headers, and a header
+	// whose brace is followed by a non-ASCII space.
+	for _, src := range []string{
+		"func f(a) {\n  x = a\ne:\n  ret x\n}\n",
+		"func {\n}\nfunc g( {\ne:\n}\n",
+		"func f() {\u00a0\ne:\n  ret\n}\n",
+	} {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		fns, err := Parse(src)
-		chunks, ok := Chunks(src)
+		chunks, err := Cut(src)
+		if _, werr := refParseModule(src); !sameError(err, werr) {
+			t.Fatalf("Cut(%q) error %v, reference %v", src, err, werr)
+		}
+		m, merr := ParseModule(src)
+		if !sameError(merr, err) {
+			t.Fatalf("ParseModule(%q) error %v, Cut %v", src, merr, err)
+		}
+		if err == nil && len(m.Funcs) != len(chunks) {
+			t.Fatalf("Cut(%q) cut %d functions, ParseModule %d", src, len(chunks), len(m.Funcs))
+		}
+		for i, c := range chunks {
+			loose, lerr := SplitFunctions(c.Text)
+			if lerr != nil || len(loose) != 1 || loose[0] != m.Funcs[i].String() || c.Name != m.Funcs[i].Name {
+				t.Fatalf("Cut(%q) chunk %d (%q) prints loosely as %q (%v), ParseModule's function %q as %q",
+					src, i, c.Name, loose, lerr, m.Funcs[i].Name, m.Funcs[i].String())
+			}
+		}
+
+		fns, perr := Parse(src)
+		ok := err == nil
 		var got []*ir.Function
 		for i := 0; ok && i < len(chunks); i++ {
-			fn, cerr := ParseFunction(chunks[i])
-			if cerr != nil {
-				ok = false
-			}
+			fn, cerr := ParseFunction(chunks[i].Text)
+			ok = cerr == nil
 			got = append(got, fn)
 		}
-		if (err == nil) != ok {
-			t.Fatalf("Parse(%q) error %v, but chunks %q parse: %v", src, err, chunks, ok)
+		if (perr == nil) != ok {
+			t.Fatalf("Parse(%q) error %v, but Cut %v and its chunks parse: %v", src, perr, err, ok)
 		}
-		if err != nil {
+		if perr != nil {
 			return
 		}
 		if len(got) != len(fns) {
-			t.Fatalf("Chunks(%q) cut %d functions, Parse %d", src, len(got), len(fns))
+			t.Fatalf("Cut(%q) cut %d functions, Parse %d", src, len(got), len(fns))
 		}
 		for i := range fns {
 			if g, w := got[i].String(), fns[i].String(); g != w {
-				t.Fatalf("Chunks(%q) function %d printed\n%s\nParse\n%s", src, i, g, w)
+				t.Fatalf("Cut(%q) function %d printed\n%s\nParse\n%s", src, i, g, w)
 			}
 		}
 	})

@@ -51,6 +51,10 @@ type lineScanner struct {
 	start int // byte offset of the current line
 	off   int // byte offset of the next line
 	eof   bool
+	// hash is one past the byte offset of the first '#' at or after
+	// start, or len(src)+1 when there is none; 0 before the first search.
+	// One search serves every line up to the '#' it finds.
+	hash int
 	// num is the number of the current line; at end of input, the
 	// number of lines.
 	num int
@@ -73,8 +77,14 @@ func (s *lineScanner) next() bool {
 			s.off, s.eof = len(s.src), true
 		}
 		s.num++
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+		if s.hash <= s.start {
+			s.hash = len(s.src) + 1
+			if i := strings.IndexByte(s.src[s.start:], '#'); i >= 0 {
+				s.hash = s.start + i + 1
+			}
+		}
+		if c := s.hash - 1 - s.start; c < len(line) {
+			line = line[:c]
 		}
 		if s.text = strings.TrimSpace(line); s.text != "" {
 			return true
@@ -152,31 +162,6 @@ func Parse(src string) ([]*ir.Function, error) {
 		return nil, fmt.Errorf("textir: no functions in input")
 	}
 	return fns, nil
-}
-
-// Chunks cuts src where Parse cuts it between functions: each chunk runs
-// from a function's header line through the first line after it that
-// reads "}", spelled as in src. It reports false when src holds no
-// function or ends inside one. Parse accepts src exactly when Chunks does
-// and ParseFunction accepts every chunk, and the chunks' functions are
-// then Parse's, in order: the parser carries no state from one function
-// to the next.
-func Chunks(src string) ([]string, bool) {
-	s := lineScanner{src: src}
-	var chunks []string
-	for s.next() {
-		start := s.start
-		for {
-			if !s.next() {
-				return nil, false
-			}
-			if s.text == "}" {
-				break
-			}
-		}
-		chunks = append(chunks, src[start:s.off])
-	}
-	return chunks, len(chunks) > 0
 }
 
 func (p *parser) function(header string) (*ir.Function, error) {

@@ -298,19 +298,41 @@ func BenchmarkPrint(b *testing.B) {
 	}
 }
 
-// BenchmarkUnitBuild is the server's batch and stream unit build: the
-// loose split, then for each function its re-print, strict parse and
+func BenchmarkCut(b *testing.B) {
+	src := mediumModule()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cut(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSplitFunctions(b *testing.B) {
+	src := mediumModule()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SplitFunctions(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnitBuild is the server's unit build with nothing in its
+// chunk alias: the cut, then for each chunk its strict parse and
 // canonical print.
 func BenchmarkUnitBuild(b *testing.B) {
 	src := mediumModule()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := ParseModule(src)
+		chunks, err := Cut(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, fd := range m.Funcs {
-			f, err := ParseFunction(fd.String())
+		for _, c := range chunks {
+			f, err := ParseFunction(c.Text)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,13 +5,17 @@ import (
 	"strings"
 )
 
-// This file is the surgical layer under the crash-triage reducer: a
-// loose, purely line-level model of a textual-IR module that parses and
-// prints programs without semantic validation. A quarantined crasher is
-// often interesting precisely because it is not a valid function —
-// an undefined jump target, an unreachable block, a missing terminator —
-// so the reducer cannot operate on ir.Function; it operates on this
-// model, which preserves any line the strict parser would reject.
+// This file is the loose, purely line-level structure of a textual-IR
+// module: where its functions start and end, and the labeled blocks of
+// raw lines inside them, read without semantic validation. One scanner
+// (structScanner) holds its rules. Cut drives it to split a module into
+// the functions the server keys and optimizes one by one; ParseModule
+// drives it to build the model the crash-triage reducer edits. A
+// quarantined crasher is often interesting precisely because it is not a
+// valid function — an undefined jump target, an unreachable block, a
+// missing terminator — so the reducer cannot operate on ir.Function; it
+// operates on this model, which preserves any line the strict parser
+// would reject.
 //
 // The model guarantees only structural fidelity: for any input that
 // ParseModule accepts, Module.String() parses (strictly or loosely) to
@@ -45,56 +49,132 @@ type BlockDoc struct {
 	Lines []string
 }
 
-// ParseModule splits src into the loose structural model. Comments and
-// blank lines are dropped. It fails only on text that has no place in
-// the structure at all: statements outside any function, a missing
-// closing brace, or stray closers.
-func ParseModule(src string) (*Module, error) {
-	m := &Module{}
-	var fn *FuncDoc
-	var blk *BlockDoc
-	lines := lineScanner{src: src}
-	for lines.next() {
-		line, num := lines.text, lines.num
+// structScanner walks a source under the loose structural grammar: a
+// line outside any function that starts "func " and ends "{" opens one,
+// a line reading "}" closes it, and every other line belongs to the open
+// function. It fails only on text that has no place in that structure
+// at all: statements outside any function, a header inside one, stray
+// closers, a missing closing brace, or no function at all.
+type structScanner struct {
+	lineScanner
+	body  bool   // report the lines of open functions
+	fn    string // the open (or last) function's name, best effort
+	open  bool
+	funcs int // functions closed so far
+}
+
+// lineKind is what a line is to the structure.
+type lineKind int
+
+const (
+	lineEnd    lineKind = iota // end of input
+	lineHeader                 // a header line, opening a function
+	lineBody                   // a line of the open function
+	lineClose                  // the "}" line closing it
+)
+
+// scan advances to the next line and classifies it. A scanner that does
+// not report the lines of open functions (body unset) passes over them.
+func (s *structScanner) scan() (lineKind, error) {
+	for s.next() {
+		line := s.text
+		// The last byte rules out nearly every line before the prefix does.
+		header := line[len(line)-1] == '{' && strings.HasPrefix(line, "func ")
 		switch {
-		case strings.HasPrefix(line, "func ") && strings.HasSuffix(line, "{"):
-			if fn != nil {
-				return nil, fmt.Errorf("textir: line %d: function %q not closed before next function", num, fn.Name)
-			}
-			name := strings.TrimPrefix(line, "func ")
+		case header && s.open:
+			return 0, fmt.Errorf("textir: line %d: function %q not closed before next function", s.num, s.fn)
+		case header:
+			name := line[len("func "):]
 			if i := strings.IndexByte(name, '('); i >= 0 {
 				name = name[:i]
 			}
-			fn = &FuncDoc{Header: line, Name: strings.TrimSpace(name)}
-			blk = nil
+			s.fn, s.open = strings.TrimSpace(name), true
+			return lineHeader, nil
 		case line == "}":
-			if fn == nil {
-				return nil, fmt.Errorf("textir: line %d: unmatched '}'", num)
+			if !s.open {
+				return 0, fmt.Errorf("textir: line %d: unmatched '}'", s.num)
 			}
-			m.Funcs = append(m.Funcs, fn)
-			fn, blk = nil, nil
-		case fn == nil:
-			return nil, fmt.Errorf("textir: line %d: statement %q outside any function", num, line)
-		default:
-			if label, ok := strings.CutSuffix(line, ":"); ok && isIdent(label) {
-				blk = &BlockDoc{Label: label}
-				fn.Blocks = append(fn.Blocks, blk)
-				continue
-			}
-			if blk == nil {
-				fn.Loose = append(fn.Loose, line)
-				continue
-			}
-			blk.Lines = append(blk.Lines, line)
+			s.open = false
+			s.funcs++
+			return lineClose, nil
+		case !s.open:
+			return 0, fmt.Errorf("textir: line %d: statement %q outside any function", s.num, line)
+		case s.body:
+			return lineBody, nil
 		}
 	}
-	if fn != nil {
-		return nil, fmt.Errorf("textir: unexpected end of input in function %q", fn.Name)
+	switch {
+	case s.open:
+		return lineEnd, fmt.Errorf("textir: unexpected end of input in function %q", s.fn)
+	case s.funcs == 0:
+		return lineEnd, fmt.Errorf("textir: no functions in input")
 	}
-	if len(m.Funcs) == 0 {
-		return nil, fmt.Errorf("textir: no functions in input")
+	return lineEnd, nil
+}
+
+// Chunk is one function of a module as Cut finds it.
+type Chunk struct {
+	// Name is the function name, best effort, as FuncDoc.Name.
+	Name string
+	// Text is the function as spelled in the source, from the start of
+	// its header line through its closing "}" line.
+	Text string
+}
+
+// Cut splits src into its functions in one pass, failing exactly where
+// ParseModule fails, with its error. Every chunk slices src. Parse
+// accepts src exactly when Cut does and ParseFunction accepts every
+// chunk, and the chunks' functions are then Parse's, in order: on any
+// source Parse accepts, its functions start and end where Cut's do, and
+// the strict parser carries no state from one function to the next.
+func Cut(src string) ([]Chunk, error) {
+	s := structScanner{lineScanner: lineScanner{src: src}}
+	var chunks []Chunk
+	start := 0
+	for {
+		kind, err := s.scan()
+		switch {
+		case err != nil:
+			return nil, err
+		case kind == lineEnd:
+			return chunks, nil
+		case kind == lineHeader:
+			start = s.start
+		case kind == lineClose:
+			chunks = append(chunks, Chunk{Name: s.fn, Text: src[start:s.off]})
+		}
 	}
-	return m, nil
+}
+
+// ParseModule splits src into the loose structural model in one pass.
+// Comments and blank lines are dropped. It fails where Cut does.
+func ParseModule(src string) (*Module, error) {
+	s := structScanner{lineScanner: lineScanner{src: src}, body: true}
+	m := &Module{}
+	var fn *FuncDoc
+	var blk *BlockDoc
+	for {
+		kind, err := s.scan()
+		switch {
+		case err != nil:
+			return nil, err
+		case kind == lineEnd:
+			return m, nil
+		case kind == lineHeader:
+			fn, blk = &FuncDoc{Header: s.text, Name: s.fn}, nil
+		case kind == lineClose:
+			m.Funcs = append(m.Funcs, fn)
+		default:
+			if label, ok := strings.CutSuffix(s.text, ":"); ok && isIdent(label) {
+				blk = &BlockDoc{Label: label}
+				fn.Blocks = append(fn.Blocks, blk)
+			} else if blk == nil {
+				fn.Loose = append(fn.Loose, s.text)
+			} else {
+				blk.Lines = append(blk.Lines, s.text)
+			}
+		}
+	}
 }
 
 // String renders the module back to parseable text, functions separated
@@ -150,10 +230,8 @@ func (m *Module) Clone() *Module {
 	return c
 }
 
-// SplitFunctions returns each function of src as standalone source text,
-// in order. The batch endpoint uses it to give every function of a
-// module request its own fault-isolation domain: a chunk that fails to
-// parse poisons only its own result.
+// SplitFunctions returns each function of src as standalone source text
+// in the loose model's print, in order.
 func SplitFunctions(src string) ([]string, error) {
 	m, err := ParseModule(src)
 	if err != nil {

@@ -224,3 +224,18 @@ func TestModuleCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestCut: each chunk is its function as spelled, from the start of its
+// header line through its closing "}" line, comments, blank lines and
+// line ends kept; text between functions belongs to none.
+func TestCut(t *testing.T) {
+	src := "# lead\n\n  func f(a) { # f\ne:\n\n  ret a\n}  # end\n\nfunc g() {\r\ne:\r\n  ret\r\n}"
+	chunks, err := Cut(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Chunk{{"f", "  func f(a) { # f\ne:\n\n  ret a\n}  # end\n"}, {"g", "func g() {\r\ne:\r\n  ret\r\n}"}}
+	if len(chunks) != len(want) || chunks[0] != want[0] || chunks[1] != want[1] {
+		t.Fatalf("Cut = %q, want %q", chunks, want)
+	}
+}
