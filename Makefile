@@ -33,11 +33,14 @@ svcbench-check:
 # request with (FuzzChunks: held to the reference loose split, ParseModule
 # and Parse), and the hardened pipeline. Each -fuzz pattern is anchored:
 # go test fuzzes only a pattern that matches one target.
+# -fuzzminimizetime bounds how long a new interesting input is minimized:
+# under go's default of 60 s a target stops executing once it starts
+# minimizing one, and reads 0 execs/s for the rest of its 30 s window.
 fuzz:
-	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/textir
-	$(GO) test -run=NONE -fuzz='^FuzzParseEquiv$$' -fuzztime=30s ./internal/textir
-	$(GO) test -run=NONE -fuzz='^FuzzChunks$$' -fuzztime=30s ./internal/textir
-	$(GO) test -run=NONE -fuzz='^FuzzPipeline$$' -fuzztime=30s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzParseEquiv$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzChunks$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/textir
+	$(GO) test -run=NONE -fuzz='^FuzzPipeline$$' -fuzztime=30s -fuzzminimizetime=2s ./internal/textir
 
 bench:
 	$(GO) test -bench=. -benchmem

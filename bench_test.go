@@ -238,9 +238,9 @@ func BenchmarkRandProgGenerate(b *testing.B) {
 // a benchmark eyeball: a released analysis on a warm shared arena must
 // allocate at least 3× less than a fresh one. (The flat matrix layout
 // already makes "fresh" cheap — tens of allocations, not thousands — and
-// the warm arena's remaining allocations are dominated by the concurrent
-// DSAFE/USAFE pair's goroutines, which are spawned per analysis by
-// design.)
+// the warm arena's remaining allocations are each solve's adjacency and
+// meet buffer, the temporary vectors and the result headers, which the
+// arena leaves to the allocator by design.)
 // If a matrix stops being released, or a new per-call allocation sneaks
 // into the steady-state path, this fails long before anyone reads a
 // benchmark delta.

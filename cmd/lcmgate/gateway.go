@@ -37,7 +37,8 @@ type Config struct {
 	// DefaultHealthInterval, negative disables polling (tests drive
 	// breakers through traffic alone).
 	HealthInterval time.Duration
-	// Breaker tunes the per-backend circuit breakers.
+	// Breaker tunes the per-backend circuit breakers. lcmgate runs the
+	// zero value, fleet's default; tests and soaks shrink it.
 	Breaker fleet.BreakerConfig
 	// AccessLog, when non-nil, receives one line per routing event
 	// (attempts, failovers, breaker skips, sheds, dedupe joins) — the

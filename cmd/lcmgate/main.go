@@ -27,11 +27,13 @@
 //
 // Placement is fixed: 512 virtual nodes per backend on the hash ring,
 // and a backend holding more than 1.25× the fleet average of in-flight
-// requests spills new placements to its next replica. A proxied NDJSON
-// stream may run 5 minutes end to end; every other proxied request gets
-// -timeout. The query string reaches the backend (a ?job= batch is a
-// resumable job), while placement hashes only path and body, so a
-// module's plain and ?job= forms share one home backend.
+// requests spills new placements to its next replica. So is each
+// backend's circuit breaker, fleet's default: 5 consecutive failures
+// open it, it probes after 2 s, and 2 probe successes close it. A
+// proxied NDJSON stream may run 5 minutes end to end; every other
+// proxied request gets -timeout. The query string reaches the backend (a
+// ?job= batch is a resumable job), while placement hashes only path and
+// body, so a module's plain and ?job= forms share one home backend.
 //
 // Routing cannot change results: every backend computes byte-identical
 // output for the same request (see DESIGN.md §8), so failover and
@@ -49,8 +51,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-
-	"lazycm/internal/fleet"
 )
 
 func main() {
@@ -61,9 +61,6 @@ func main() {
 		attemptTimeout = flag.Duration("attempt-timeout", DefaultAttemptTimeout, "per-backend attempt budget")
 		timeout        = flag.Duration("timeout", DefaultTimeout, "end-to-end budget per proxied request")
 		healthInterval = flag.Duration("health-interval", DefaultHealthInterval, "per-backend /readyz polling period")
-		brkFailures    = flag.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = default)")
-		brkCooldown    = flag.Duration("breaker-cooldown", 0, "how long an open breaker refuses before probing (0 = default)")
-		brkProbes      = flag.Int("breaker-probes", 0, "successful half-open probes required to close (0 = default)")
 		accessLog      = flag.String("access-log", "", "routing log destination: a file path, '-' for stderr, empty for none")
 	)
 	flag.Parse()
@@ -96,12 +93,7 @@ func main() {
 		AttemptTimeout: *attemptTimeout,
 		Timeout:        *timeout,
 		HealthInterval: *healthInterval,
-		Breaker: fleet.BreakerConfig{
-			FailureThreshold: *brkFailures,
-			Cooldown:         *brkCooldown,
-			HalfOpenProbes:   *brkProbes,
-		},
-		AccessLog: logDst,
+		AccessLog:      logDst,
 	})
 	if err != nil {
 		log.Fatalf("lcmgate: %v", err)

@@ -110,27 +110,6 @@ func (v *Vector) trim() {
 	}
 }
 
-// WordCap returns the word capacity of the backing storage — the largest
-// width Reshape can take without reallocating.
-func (v *Vector) WordCap() int { return cap(v.words) }
-
-// Reshape re-forms v as a zeroed vector of length n over its existing
-// backing, returning false (and leaving v untouched) when the backing is
-// too small. The scratch arena's counterpart to Matrix.Reshape.
-func (v *Vector) Reshape(n int) bool {
-	if n < 0 {
-		panic("bitvec: negative vector length")
-	}
-	need := (n + wordMask) >> wordLog
-	if cap(v.words) < need {
-		return false
-	}
-	v.n = n
-	v.words = v.words[:need]
-	clear(v.words)
-	return true
-}
-
 // Copy returns an independent copy of v.
 func (v *Vector) Copy() *Vector {
 	w := &Vector{n: v.n, words: make([]uint64, len(v.words))}

@@ -76,7 +76,6 @@ func (m *Matrix) Clear(row, col int) { m.Row(row).Clear(col) }
 func (m *Matrix) SetBool(row, col int, b bool) { m.Row(row).SetBool(col, b) }
 
 // ClearAll clears every bit of every row, keeping the backing storage.
-// Scratch arenas use it to recycle matrices between analyses.
 func (m *Matrix) ClearAll() {
 	clear(m.words)
 }

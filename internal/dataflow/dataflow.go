@@ -176,8 +176,8 @@ type Problem struct {
 	// cancelInterval node visits within a sweep) and fails with a
 	// *CancelError once it is done. Nil means "never canceled".
 	Ctx context.Context
-	// Scratch, when non-nil, supplies the solver's traversal order and
-	// working storage from a shared arena instead of fresh allocations.
+	// Scratch supplies the solver's traversal order and its In and Out
+	// matrices; nil computes the order and allocates the matrices afresh.
 	// The solution is identical either way; see Scratch. The caller owns
 	// the Result matrices and releases back to the arena whichever side
 	// it does not keep.
@@ -254,12 +254,7 @@ func Solve(g Graph, p *Problem) (*Result, error) {
 		return nil, err
 	}
 	n := g.NumNodes()
-	var in, out *bitvec.Matrix
-	if p.Scratch != nil {
-		in, out = p.Scratch.Matrix(n, p.Width), p.Scratch.Matrix(n, p.Width)
-	} else {
-		in, out = bitvec.NewMatrix(n, p.Width), bitvec.NewMatrix(n, p.Width)
-	}
+	in, out := p.Scratch.Matrix(n, p.Width), p.Scratch.Matrix(n, p.Width)
 	res := &Result{In: in, Out: out}
 	res.Stats.Name = p.Name
 
@@ -289,46 +284,41 @@ func Solve(g Graph, p *Problem) (*Result, error) {
 		}
 	}
 
-	// Flatten the meet-side adjacency: offs[i]..offs[i+1] index the
-	// sources whose fo rows meet into node i.
-	offs := p.ints(n + 1)
+	// Flatten the meet-side adjacency into one buffer: offs[i]..offs[i+1]
+	// index the edges, the sources whose fo rows meet into node i.
 	total := 0
 	for i := 0; i < n; i++ {
-		offs[i] = int32(total)
 		if p.Dir == Forward {
 			total += g.NumPreds(i)
 		} else {
 			total += g.NumSuccs(i)
 		}
 	}
-	offs[n] = int32(total)
-	edges := p.ints(total)
+	adj := make([]int32, n+1+total)
+	offs, edges := adj[:n+1], adj[n+1:]
+	e := 0
 	for i := 0; i < n; i++ {
-		e := int(offs[i])
+		offs[i] = int32(e)
 		if p.Dir == Forward {
-			for k := 0; e+k < int(offs[i+1]); k++ {
-				edges[e+k] = int32(g.Pred(i, k))
+			for k, d := 0, g.NumPreds(i); k < d; k++ {
+				edges[e] = int32(g.Pred(i, k))
+				e++
 			}
 		} else {
-			for k := 0; e+k < int(offs[i+1]); k++ {
-				edges[e+k] = int32(g.Succ(i, k))
+			for k, d := 0, g.NumSuccs(i); k < d; k++ {
+				edges[e] = int32(g.Succ(i, k))
+				e++
 			}
 		}
 	}
+	offs[n] = int32(e)
 
-	order := p.order(g)
+	order := p.Scratch.Order(g, p.Dir)
 	fiW, foW := fiMat.Data(), foMat.Data()
 	genW, killW := p.Gen.Data(), p.Kill.Data()
-	meet := p.words(stride)
-	release := func() {
-		p.releaseInts(offs, edges)
-		p.releaseWords(meet)
-	}
+	meet := make([]uint64, stride)
 	fail := func(err error) (*Result, error) {
-		release()
-		if p.Scratch != nil {
-			p.Scratch.Release(in, out)
-		}
+		p.Scratch.Release(in, out)
 		return nil, err
 	}
 
@@ -412,7 +402,6 @@ func Solve(g Graph, p *Problem) (*Result, error) {
 			res.Stats.VectorOps += 3
 		}
 		if !changed {
-			release()
 			return res, nil
 		}
 	}

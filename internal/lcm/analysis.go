@@ -124,7 +124,7 @@ type Analysis struct {
 // using the matrices after Release is a caller bug (the arena may hand
 // them to the next analysis zeroed).
 func (a *Analysis) Release() {
-	if a == nil || a.sc == nil {
+	if a == nil {
 		return
 	}
 	a.sc.Release(a.DSafe, a.USafe, a.Earliest, a.Delay, a.Latest, a.Isolated)
@@ -158,12 +158,12 @@ func Analyze(g *nodes.Graph) (*Analysis, error) {
 //
 // All four data-flow problems and the derived predicates share one
 // dataflow.Scratch (o.Scratch, or a run-private one): the traversal order
-// is computed once per direction and the bit-vector working state is
-// recycled between problems instead of reallocated per analysis. The
-// problems are solved one after another on the caller's goroutine, each
-// honoring o.Fuel and o.Ctx on its own. None of this changes what is
-// computed: every fixpoint is the unique solution of its own monotone
-// system (see DESIGN.md "Shared analysis scratch").
+// is computed once per direction and the matrices are recycled between
+// problems instead of reallocated per analysis. The problems are solved
+// one after another on the caller's goroutine, each honoring o.Fuel and
+// o.Ctx on its own. None of this changes what is computed: every
+// fixpoint is the unique solution of its own monotone system (see
+// DESIGN.md "Shared analysis scratch").
 func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	n := g.NumNodes()
 	w := g.U.Size()
@@ -233,8 +233,8 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	// Derived still counts the logical (unfused) operations so the T4
 	// efficiency currency stays comparable across implementations.
 	a.Earliest = sc.Matrix(n, w)
-	hoistable := sc.Vector(w)
-	tmp := sc.Vector(w)
+	hoistable := bitvec.New(w)
+	tmp := bitvec.New(w)
 	for i := 0; i < n; i++ {
 		row := a.Earliest.Row(i)
 		row.CopyFrom(a.DSafe.Row(i))
@@ -268,7 +268,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	})
 	if err != nil {
 		sc.Release(notTransp, delayGen, a.Earliest)
-		sc.ReleaseVector(hoistable, tmp)
 		return nil, fmt.Errorf("lcm: %w", err)
 	}
 	// DELAY at the node is IN ∨ EARLIEST; fold EARLIEST into the solver's
@@ -302,7 +301,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		row.AndOf(a.Delay.Row(i), hoistable)
 		a.Derived += 4
 	}
-	sc.ReleaseVector(hoistable, tmp)
 
 	// Isolation: backward, must.
 	//   ISOLATED(n) = ∏_{m∈succ(n)} (LATEST(m) ∨ (¬COMP(m) ∧ ISOLATED(m)))
@@ -341,7 +339,7 @@ type Placement struct {
 // Release returns the placement matrices to the analysis arena and nils
 // them out; see Analysis.Release for the contract.
 func (p *Placement) Release() {
-	if p == nil || p.sc == nil {
+	if p == nil {
 		return
 	}
 	p.sc.Release(p.Insert, p.Replace)
@@ -357,12 +355,7 @@ func (a *Analysis) Placement(mode Mode) (*Placement, error) {
 	}
 	n := a.G.NumNodes()
 	w := a.U.Size()
-	p := &Placement{Mode: mode, sc: a.sc}
-	if a.sc != nil {
-		p.Insert, p.Replace = a.sc.Matrix(n, w), a.sc.Matrix(n, w)
-	} else {
-		p.Insert, p.Replace = bitvec.NewMatrix(n, w), bitvec.NewMatrix(n, w)
-	}
+	p := &Placement{Mode: mode, sc: a.sc, Insert: a.sc.Matrix(n, w), Replace: a.sc.Matrix(n, w)}
 	for i := 0; i < n; i++ {
 		ins := p.Insert.Row(i)
 		rep := p.Replace.Row(i)

@@ -51,8 +51,8 @@ type Options struct {
 	// Nil means "never canceled". See dataflow.Problem.Ctx.
 	Ctx context.Context
 	// Scratch, when non-nil, is the shared analysis arena: traversal
-	// orders computed once per graph and recycled bit-vector storage
-	// across the four data-flow problems (and across calls, e.g. one
+	// orders computed once per graph and recycled matrices across the
+	// four data-flow problems (and across calls, e.g. one
 	// arena per pipeline run). Nil means a run-private arena. The
 	// analysis results are identical either way; see dataflow.Scratch.
 	// Callers that keep one arena across calls should Release finished

@@ -57,16 +57,17 @@ type Analysis struct {
 	UniStats                    []dataflow.Stats
 	LaterPasses, LaterVectorOps int
 
-	// sc is the arena the matrices were drawn from, when one was used.
+	// sc is the arena the matrices were drawn from (nil: none).
 	sc *dataflow.Scratch
 }
 
-// Release returns every predicate matrix to the arena it came from (no-op
-// without one) and nils them out; the edge list, stats and locals stay
-// valid. Callers that analyze many functions over one shared arena call it
-// once they are done reading the predicates. Releasing twice is a no-op.
+// Release returns every predicate matrix to the arena it came from
+// (dropping them without one) and nils them out; the edge list, stats and
+// locals stay valid. Callers that analyze many functions over one shared
+// arena call it once they are done reading the predicates. Releasing
+// twice is a no-op.
 func (a *Analysis) Release() {
-	if a == nil || a.sc == nil {
+	if a == nil {
 		return
 	}
 	a.sc.Release(a.AntIn, a.AntOut, a.AvIn, a.AvOut,
@@ -123,14 +124,8 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	n := f.NumBlocks()
 	w := u.Size()
 	g := dataflow.BlockGraph{F: f}
-	newMat := func(rows int) *bitvec.Matrix {
-		if sc != nil {
-			return sc.Matrix(rows, w)
-		}
-		return bitvec.NewMatrix(rows, w)
-	}
 
-	notTransp := newMat(n)
+	notTransp := sc.Matrix(n, w)
 	for i := 0; i < n; i++ {
 		row := notTransp.Row(i)
 		row.CopyFrom(local.Transp.Row(i))
@@ -153,9 +148,7 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lcmblock: %w", err)
 	}
-	if sc != nil {
-		sc.Release(notTransp) // kill set only feeds the two solves above
-	}
+	sc.Release(notTransp) // kill set only feeds the two solves above
 
 	a := &Analysis{
 		U: u, Local: local,
@@ -174,18 +167,8 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	ne := len(a.Edges)
 
 	// EARLIEST per edge.
-	a.Earliest = newMat(ne)
-	var tmp, prev *bitvec.Vector
-	if sc != nil {
-		tmp, prev = sc.Vector(w), sc.Vector(w)
-	} else {
-		tmp, prev = bitvec.New(w), bitvec.New(w)
-	}
-	releaseWork := func() {
-		if sc != nil {
-			sc.ReleaseVector(tmp, prev)
-		}
-	}
+	a.Earliest = sc.Matrix(ne, w)
+	tmp, prev := bitvec.New(w), bitvec.New(w)
 	for x, e := range a.Edges {
 		row := a.Earliest.Row(x)
 		row.CopyFrom(a.AntIn.Row(e.To.ID))
@@ -201,8 +184,8 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	}
 
 	// LATER / LATERIN fixpoint (decreasing from all-ones).
-	a.Later = newMat(ne)
-	a.LaterIn = newMat(n)
+	a.Later = sc.Matrix(ne, w)
+	a.LaterIn = sc.Matrix(n, w)
 	for x := 0; x < ne; x++ {
 		a.Later.Row(x).SetAll()
 	}
@@ -218,7 +201,6 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	visits := 0
 	for {
 		if err := dataflow.Canceled(o.Ctx, "blk-later"); err != nil {
-			releaseWork()
 			return nil, err
 		}
 		a.LaterPasses++
@@ -226,7 +208,6 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 		for _, b := range rpo {
 			visits++
 			if fuel > 0 && visits > fuel {
-				releaseWork()
 				return nil, fmt.Errorf("lcmblock: later fixpoint: %w",
 					&dataflow.FuelError{Problem: "blk-later", Fuel: fuel})
 			}
@@ -268,16 +249,14 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 		}
 	}
 
-	releaseWork()
-
 	// INSERT per edge; DELETE per block.
-	a.Insert = newMat(ne)
+	a.Insert = sc.Matrix(ne, w)
 	for x, e := range a.Edges {
 		row := a.Insert.Row(x)
 		row.CopyFrom(a.Later.Row(x))
 		row.AndNot(a.LaterIn.Row(e.To.ID))
 	}
-	a.Delete = newMat(n)
+	a.Delete = sc.Matrix(n, w)
 	for b := 0; b < n; b++ {
 		row := a.Delete.Row(b)
 		row.CopyFrom(local.Antloc.Row(b))
@@ -305,7 +284,7 @@ type Result struct {
 
 // Release returns the result's analysis matrices to the scratch arena they
 // were drawn from; the transformed function, counters, and TempFor map
-// stay valid. No-op without an arena or on a nil/released result.
+// stay valid. No-op on a nil or released result.
 func (r *Result) Release() {
 	if r == nil {
 		return

@@ -18,7 +18,6 @@ import (
 
 	"lazycm/internal/atomicio"
 	"lazycm/internal/cachestore"
-	"lazycm/internal/conc"
 	"lazycm/internal/ir"
 	"lazycm/internal/overload"
 	"lazycm/internal/textir"
@@ -780,9 +779,12 @@ func (s *Server) admitOne(ctx context.Context) bool {
 // It resolves journaled completions from the durable cache, then
 // dispatches every still-pending item to the worker pool from up to
 // Config.Workers concurrent lanes and stamps each item with its own
-// dispatch-to-completion time. Each item's deadline is its slice of
-// budget (batch and stream), the full single-request budget (persisted
-// jobs, which no client waits on), or ctx itself (/optimize).
+// dispatch-to-completion time. A repeat of a function the module already
+// holds (same key) is dispatched only after every first occurrence has
+// finished, so it is served from the cache rather than computed twice.
+// Each item's deadline is its slice of budget (batch and stream), the
+// full single-request budget (persisted jobs, which no client waits on),
+// or ctx itself (/optimize).
 //
 // The first reserved items ride the slots admission reserved. A
 // transient run has no more lanes than slots, so a further item takes
@@ -815,8 +817,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 	var slots atomic.Int64
 	slots.Store(int64(reserved))
 	var refused, missed atomic.Bool
-	_ = conc.Parallel(len(pending), lanes, func(k int) error {
-		i := pending[k]
+	dispatch := func(i int) {
 		held := slots.Add(-1) >= 0
 		stop := "" // why the item is not dispatched
 		switch {
@@ -830,7 +831,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 		case ctx.Err() != nil:
 			// Never admitted: abandoned without being counted.
 			js.complete(i, abandoned(ctx), true)
-			return nil
+			return
 		case refused.Load() || !s.admit(1):
 			refused.Store(true)
 			stop = "overload"
@@ -851,7 +852,7 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 					RetryAfterMS: s.retryAfterMS(s.ladder.Level(), overload.Seed(hdr.Funcs[i].Name, hdr.Mode)),
 				}}, true)
 			}
-			return nil
+			return
 		}
 		ictx, cancel := ctx, context.CancelFunc(func() {})
 		switch {
@@ -890,17 +891,50 @@ func (s *Server) runJob(ctx context.Context, js *jobState, budget *batchBudget, 
 		if js.persisted && out.body.Canceled {
 			// A deadline loss is retryable: leave the item pending rather
 			// than journaling a 504 — a later generation recomputes it.
-			return nil
+			return
 		}
 		// Clean outcomes are journaled by key only while the durable cache
 		// tier takes write-through; otherwise a key-only record could not
 		// be resolved after a restart, so the body goes inline.
 		js.complete(i, out, s.cache == nil || !s.cache.diskEnabled())
-		return nil
-	})
+	}
+	// Lanes claim each round's items in order; slots, refusals, budget
+	// and the gauge carry from the first round to the second.
+	for _, round := range dispatchRounds(hdr.Funcs, pending) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(lanes, len(round)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < int64(len(round)); k = next.Add(1) - 1 {
+					dispatch(round[k])
+				}
+			}()
+		}
+		wg.Wait()
+	}
 	if single {
 		s.gauge.Record(time.Since(hdr.Created), missed.Load())
 	}
+}
+
+// dispatchRounds splits pending items into two dispatch rounds: first
+// every item whose non-empty key no earlier pending item holds, then the
+// repeats, each round in index order.
+func dispatchRounds(units []jobUnit, pending []int) [2][]int {
+	var rounds [2][]int
+	seen := make(map[string]bool, len(pending))
+	for _, i := range pending {
+		key := units[i].Key
+		if key != "" && seen[key] {
+			rounds[1] = append(rounds[1], i)
+			continue
+		}
+		seen[key] = true
+		rounds[0] = append(rounds[0], i)
+	}
+	return rounds
 }
 
 // abandoned is the outcome of an item whose run ended — deadline or

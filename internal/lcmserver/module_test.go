@@ -106,6 +106,51 @@ func TestOptimizeModuleFansOut(t *testing.T) {
 	}
 }
 
+// TestModuleRepeatComputedOnce: a module that holds one function twice
+// (two spellings, one key) computes it once on every module endpoint,
+// though two workers leave both occurrences free to run at once. The
+// hook holds the function's first sighting until its second sighting
+// enters the hook or 200 ms pass, so a repeat dispatched alongside its
+// first occurrence would miss the cache as well.
+func TestModuleRepeatComputedOnce(t *testing.T) {
+	fns := aliasFuncs(2)
+	module := fns[0] + "\n" + fns[1] + "\n" + respell(fns[0], "\n")
+	for _, path := range []string{"/optimize", "/optimize/batch", "/optimize/stream"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			var sightings atomic.Int32
+			second, left := make(chan struct{}), make(chan struct{})
+			_, ts := newTestServer(t, Config{
+				Workers: 2, Queue: 64, Timeout: time.Minute, Degrade: steadyLadder,
+				hook: func(req optimizeRequest) {
+					if !strings.HasPrefix(req.Program, "func fn0_") {
+						return
+					}
+					switch sightings.Add(1) {
+					case 1:
+						defer close(left)
+						select {
+						case <-second:
+						case <-time.After(200 * time.Millisecond):
+						}
+					case 2:
+						// Leave the hook together with a first sighting
+						// still held, so both look the key up at once.
+						close(second)
+						<-left
+					}
+				},
+			})
+			if code, body := sendNormalized(t, ts, path, optimizeRequest{Program: module}); code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, body)
+			}
+			_, h := getHealthz(t, ts)
+			if h["fn_cache_misses"] != 2.0 || h["fn_cache_hits"] != 1.0 {
+				t.Errorf("fn_cache_misses=%v fn_cache_hits=%v, want 2 and 1", h["fn_cache_misses"], h["fn_cache_hits"])
+			}
+		})
+	}
+}
+
 // TestDrainStopsMidFlightModule is TestDrainStopsMidFlightBatch's race
 // on the other two module endpoints: drain begins while one function is
 // in the single worker and eleven wait their turn. The in-flight one

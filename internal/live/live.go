@@ -30,16 +30,16 @@ type Info struct {
 	// Stats are the liveness solver's statistics.
 	Stats dataflow.Stats
 
-	// sc is the arena the solution matrices came from, when one was used.
+	// sc is the arena the solution matrices came from (nil: none).
 	sc *dataflow.Scratch
 }
 
 // Release returns the liveness matrices to the arena they were drawn from
-// (no-op without one) and nils them out. Repeated liveness solves over one
-// arena — the DCE fixpoint rounds, lifetime metrics over many functions —
-// recycle the same backing store this way.
+// (dropping them without one) and nils them out. Repeated liveness solves
+// over one arena — the DCE fixpoint rounds, lifetime metrics over many
+// functions — recycle the same backing store this way.
 func (i *Info) Release() {
-	if i == nil || i.sc == nil {
+	if i == nil {
 		return
 	}
 	i.sc.Release(i.LiveIn, i.LiveOut)
@@ -62,8 +62,8 @@ func ComputeCtx(ctx context.Context, f *ir.Function, vars []string) (*Info, erro
 }
 
 // ComputeScratch is ComputeCtx with a shared analysis arena: a non-nil
-// scratch supplies the liveness solver's traversal order and bit-vector
-// storage, so repeated liveness queries (lifetime metrics over many
+// scratch supplies the liveness solver's traversal order and matrices,
+// so repeated liveness queries (lifetime metrics over many
 // temporaries, pipeline runs over many functions) reuse allocations. The
 // solution is identical with or without it.
 func ComputeScratch(ctx context.Context, f *ir.Function, vars []string, sc *dataflow.Scratch) (*Info, error) {
@@ -80,12 +80,7 @@ func ComputeScratch(ctx context.Context, f *ir.Function, vars []string, sc *data
 
 	n := g.NumNodes()
 	w := len(vars)
-	var use, def *bitvec.Matrix
-	if sc != nil {
-		use, def = sc.Matrix(n, w), sc.Matrix(n, w)
-	} else {
-		use, def = bitvec.NewMatrix(n, w), bitvec.NewMatrix(n, w)
-	}
+	use, def := sc.Matrix(n, w), sc.Matrix(n, w)
 	var scratch []string
 	for id, nd := range g.Nodes {
 		switch nd.Kind {
@@ -117,9 +112,7 @@ func ComputeScratch(ctx context.Context, f *ir.Function, vars []string, sc *data
 		Width: w, Gen: use, Kill: def,
 		Boundary: dataflow.BoundaryEmpty, Ctx: ctx, Scratch: sc,
 	})
-	if sc != nil {
-		sc.Release(use, def) // gen/kill are solver inputs only; the solution is retained
-	}
+	sc.Release(use, def) // gen/kill are solver inputs only; the solution is retained
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}

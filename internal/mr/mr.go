@@ -41,10 +41,10 @@ type Options struct {
 	// dataflow.ErrCanceled. Nil means "never canceled".
 	Ctx context.Context
 	// Scratch, when non-nil, is the shared analysis arena: the
-	// unidirectional solves, the bidirectional working state, and the
-	// predicate matrices all draw from it, and Transform releases them
-	// back when done, so repeated MR runs (experiment loops, pipeline
-	// passes) recycle one backing store. Results are identical either way.
+	// unidirectional solves and every predicate matrix draw from it, and
+	// Transform releases them back when done, so repeated MR runs
+	// (experiment loops, pipeline passes) recycle one backing store.
+	// Results are identical either way.
 	Scratch *dataflow.Scratch
 }
 
@@ -84,16 +84,16 @@ type Analysis struct {
 	UniStats               []dataflow.Stats
 	Passes, BidirVectorOps int
 
-	// sc is the arena the matrices were drawn from, when one was used.
+	// sc is the arena the matrices were drawn from (nil: none).
 	sc *dataflow.Scratch
 }
 
-// Release returns every predicate matrix to the arena it came from (no-op
-// without one) and nils them out; see lcm.Analysis.Release for the
-// contract. Transform calls it once the rewrite no longer needs the
-// predicates.
+// Release returns every predicate matrix to the arena it came from
+// (dropping them without one) and nils them out; see lcm.Analysis.Release
+// for the contract. Transform calls it once the rewrite no longer needs
+// the predicates.
 func (a *Analysis) Release() {
-	if a == nil || a.sc == nil {
+	if a == nil {
 		return
 	}
 	a.sc.Release(a.AvIn, a.AvOut, a.PavIn, a.PavOut, a.PPIn, a.PPOut, a.Insert, a.Delete)
@@ -117,14 +117,8 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	n := f.NumBlocks()
 	w := u.Size()
 	g := dataflow.BlockGraph{F: f}
-	newMat := func() *bitvec.Matrix {
-		if sc != nil {
-			return sc.Matrix(n, w)
-		}
-		return bitvec.NewMatrix(n, w)
-	}
 
-	notTransp := newMat()
+	notTransp := sc.Matrix(n, w)
 	for i := 0; i < n; i++ {
 		row := notTransp.Row(i)
 		row.CopyFrom(local.Transp.Row(i))
@@ -147,15 +141,13 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mr: %w", err)
 	}
-	if sc != nil {
-		sc.Release(notTransp) // kill set only feeds the two solves above
-	}
+	sc.Release(notTransp) // kill set only feeds the two solves above
 
 	a := &Analysis{
 		U: u, Local: local,
 		AvIn: av.In, AvOut: av.Out,
 		PavIn: pav.In, PavOut: pav.Out,
-		PPIn: newMat(), PPOut: newMat(),
+		PPIn: sc.Matrix(n, w), PPOut: sc.Matrix(n, w),
 		UniStats: []dataflow.Stats{av.Stats, pav.Stats},
 		sc:       sc,
 	}
@@ -190,21 +182,10 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 	}
 	transpW, antlocW := local.Transp.Data(), local.Antloc.Data()
 	pavInW, avOutW := a.PavIn.Data(), a.AvOut.Data()
-	var acc []uint64
-	if sc != nil {
-		acc = sc.Words(stride)
-	} else {
-		acc = make([]uint64, stride)
-	}
-	releaseWork := func() {
-		if sc != nil {
-			sc.ReleaseWords(acc)
-		}
-	}
+	acc := make([]uint64, stride)
 	visits := 0
 	for {
 		if err := dataflow.Canceled(o.Ctx, "mr-pp"); err != nil {
-			releaseWork()
 			return nil, err
 		}
 		a.Passes++
@@ -213,7 +194,6 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 			i := b.ID
 			visits++
 			if fuel > 0 && visits > fuel {
-				releaseWork()
 				return nil, fmt.Errorf("mr: placement-possible fixpoint: %w",
 					&dataflow.FuelError{Problem: "mr-pp", Fuel: fuel})
 			}
@@ -280,12 +260,10 @@ func AnalyzeOpts(f *ir.Function, o Options) (*Analysis, error) {
 		}
 	}
 
-	releaseWork()
-
 	// INSERT(i) = PPOUT(i) ∧ ¬AVOUT(i) ∧ (¬PPIN(i) ∨ ¬TRANSP(i))
 	// DELETE(i) = ANTLOC(i) ∧ PPIN(i)
-	a.Insert = newMat()
-	a.Delete = newMat()
+	a.Insert = sc.Matrix(n, w)
+	a.Delete = sc.Matrix(n, w)
 	for i := 0; i < n; i++ {
 		ins := a.Insert.Row(i)
 		ins.CopyFrom(a.PPIn.Row(i))

@@ -233,27 +233,14 @@ func Run(f *ir.Function, passes []Pass, o Options) (*Result, error) {
 // runOne executes one pass against a snapshot of cur and checks its
 // output. Any failure — error, panic, invalid or inequivalent output —
 // leaves cur untouched and is reported as a *PassError.
-func runOne(cur *ir.Function, p Pass, o Options) (out *ir.Function, perr *PassError) {
+func runOne(cur *ir.Function, p Pass, o Options) (*ir.Function, *PassError) {
 	snapshot := cur.Clone()
+	var out *ir.Function
 	var tempFor map[ir.Expr]string
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				perr = &PassError{
-					Pass: p.Name, Stage: StageRun,
-					Err:        fmt.Errorf("panic: %v", v),
-					PanicValue: v,
-					Stack:      debug.Stack(),
-				}
-			}
-		}()
-		var err error
+	if perr := Guard(p.Name, func() (err error) {
 		out, tempFor, err = p.Run(snapshot, o)
-		if err != nil {
-			perr = &PassError{Pass: p.Name, Stage: StageRun, Err: err}
-		}
-	}()
-	if perr != nil {
+		return err
+	}); perr != nil {
 		return nil, perr
 	}
 	if out == nil {
@@ -281,8 +268,9 @@ func runOne(cur *ir.Function, p Pass, o Options) (out *ir.Function, perr *PassEr
 
 // Guard runs fn with panic containment and returns the failure (error or
 // contained panic) as a *PassError, or nil on success. It is the
-// standalone form of the pipeline's run stage, used by drivers that
-// execute work other than function passes (e.g. experiment generators).
+// pipeline's run stage: every pass runs under it, and so does work other
+// than function passes (server workers, experiment drivers, triage
+// replays).
 func Guard(name string, fn func() error) (perr *PassError) {
 	defer func() {
 		if v := recover(); v != nil {
